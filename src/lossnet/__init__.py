@@ -47,6 +47,7 @@ from .equilibrium import (
     is_nash_deviation_oracle,
     mixing_level,
     ne_traffic_bounds,
+    poa_bound,
     poa_report,
 )
 from .two_source import (
@@ -112,6 +113,7 @@ __all__ = [
     "poa_report",
     "ne_traffic_bounds",
     "mixing_level",
+    "poa_bound",
     "classify",
     "scan_nash",
     "construct_existence_ne",

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--plot-data", help="directory for gnuplot series files")
     p.set_defaults(func=_cmd_sweep)
 

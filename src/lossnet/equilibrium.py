@@ -211,6 +211,15 @@ def mixing_level(inst: Instance) -> float:
     )
 
 
+def poa_bound(inst: Instance) -> float | None:
+    """Closed-form PoA bound 1 + n1*mu / (z*(n1*phi + mu)), defined only for z > 0."""
+    z = mixing_level(inst)
+    if z <= 0:
+        return None
+    n1 = max(inst.user_counts)
+    return 1.0 + n1 * inst.mu / (n1 * z * inst.phi + z * inst.mu)
+
+
 def ne_traffic_bounds(inst: Instance) -> TrafficBounds:
     z = mixing_level(inst)
     ne_lower = None
@@ -251,16 +260,11 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
         ne_count = len(nes)
     tr_worst = min(trs) if trs else None
     poa_exact = tr_opt / tr_worst if tr_worst else None
-    z = mixing_level(inst)
-    n1 = max(inst.user_counts)
-    poa_bound = None
-    if z > 0:
-        poa_bound = 1.0 + n1 * inst.mu / (n1 * z * inst.phi + z * inst.mu)
     return PoAReport(
         tr_opt=tr_opt,
         tr_worst_ne=tr_worst,
         poa_exact=poa_exact,
-        z=z,
-        poa_bound=poa_bound,
+        z=mixing_level(inst),
+        poa_bound=poa_bound(inst),
         ne_count=ne_count,
     )

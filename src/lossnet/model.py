@@ -225,10 +225,19 @@ def loss_rate(
     """
     _check_index(origin, inst.m, "origin")
     _check_index(relay, inst.m, "relay")
-    t = traffic_rates(inst, prof)
+    return class_loss(inst, traffic_rates(inst, prof), origin, relay, inst.phi)
+
+
+def class_loss(
+    inst: Instance, t: tuple[float, ...], origin: int, relay: int, phi: float = 1.0
+) -> float:
+    """Loss rate of class (origin, relay) under link rates `t`, per user of rate `phi`.
+
+    At the default phi = 1 this is the class loss probability.
+    """
     if origin == relay:
-        return inst.phi * t[origin] / (t[origin] + inst.mu)
-    return inst.phi * (inst.q + inst.qbar * t[relay] / (t[relay] + inst.mu))
+        return phi * t[origin] / (t[origin] + inst.mu)
+    return phi * (inst.q + inst.qbar * t[relay] / (t[relay] + inst.mu))
 
 
 def delivered_rate(t: float, mu: float) -> float:
@@ -243,19 +252,13 @@ def total_traffic(inst: Instance, prof: RoutingProfile) -> float:
 
 def summarize(inst: Instance, prof: RoutingProfile) -> TrafficSummary:
     t = traffic_rates(inst, prof)
-    mu, phi, q, qbar = inst.mu, inst.phi, inst.q, inst.qbar
-    no_cong = tuple(mu / (ti + mu) for ti in t)
-    lr: dict[tuple[int, int], float] = {}
-    for i in range(inst.m):
-        for j in range(inst.m):
-            if i == j:
-                lr[(i, j)] = phi * t[i] / (t[i] + mu)
-            else:
-                lr[(i, j)] = phi * (q + qbar * t[j] / (t[j] + mu))
+    mu, m = inst.mu, inst.m
     return TrafficSummary(
         t=t,
-        no_congestion_prob=no_cong,
-        class_loss_rate=lr,
+        no_congestion_prob=tuple(mu / (ti + mu) for ti in t),
+        class_loss_rate={
+            (i, j): class_loss(inst, t, i, j, inst.phi) for i in range(m) for j in range(m)
+        },
         total_traffic=sum(delivered_rate(ti, mu) for ti in t),
     )
 

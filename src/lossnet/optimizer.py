@@ -105,10 +105,8 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     best_tr = mu * m - mu * best_frac
     best_split, best_b = m, 0
 
-    for split in range(1, m + 1):
-        if split == m:
-            # No receivers exist; only the all-direct case, already seeded.
-            continue
+    # split == m leaves no receivers: only the all-direct case, already seeded.
+    for split in range(1, m):
         donors = list(range(split))
         receivers = list(range(split, m))
         u = [counts[l] for l in donors]

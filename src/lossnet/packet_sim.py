@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Instance, RoutingProfile, traffic_rates
+from .model import Instance, RoutingProfile, class_loss, traffic_rates
 
 WARMUP_FRACTION = 0.01
 
@@ -232,12 +232,8 @@ def assess_outcome(
                 lc.std_err, sig, sig <= tolerance_sigmas,
             )
         )
-    qbar = inst.qbar
     for (i, r), cc in sorted(outcome.per_class.items()):
-        if r == i:
-            expected = rates[i] / (rates[i] + inst.mu)
-        else:
-            expected = inst.q + qbar * rates[r] / (rates[r] + inst.mu)
+        expected = class_loss(inst, rates, i, r)
         if cc.generated == 0:
             checks.append(Check("class-loss", (i, r), 0.0, expected, 0.0, 0.0, True))
             continue

@@ -12,21 +12,19 @@ files.
 from __future__ import annotations
 
 import io
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
 from .model import Instance, instance_from_json
-from .equilibrium import poa_report
+from .equilibrium import poa_bound, poa_report
+from .optimizer import solve_optimal
 
 AXES = ("q", "mu", "n1")
 OUTPUTS = ("tr_opt", "tr_worst_ne", "poa_exact", "poa_bound")
 CSV_COLUMNS = ("axis_value", "tr_opt", "tr_worst_ne", "poa_exact", "poa_bound", "ne_count")
 NA = "na"
-
-THREADS_ENV = "LOSSNET_THREADS"
 
 
 @dataclass(frozen=True)
@@ -83,40 +81,27 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
     inst = apply_axis(spec.base, spec.axis, value)
     row: dict[str, object] = {c: NA for c in CSV_COLUMNS}
     row["axis_value"] = value
-    need_ne = bool({"tr_worst_ne", "poa_exact"} & set(spec.outputs))
-    if need_ne:
+    rep = None
+    if {"tr_worst_ne", "poa_exact"} & set(spec.outputs):
         try:
             rep = poa_report(inst, cap=cap)
-            row["ne_count"] = rep.ne_count
-            if "tr_opt" in spec.outputs:
-                row["tr_opt"] = rep.tr_opt
-            if "tr_worst_ne" in spec.outputs and rep.tr_worst_ne is not None:
-                row["tr_worst_ne"] = rep.tr_worst_ne
-            if "poa_exact" in spec.outputs and rep.poa_exact is not None:
-                row["poa_exact"] = rep.poa_exact
-            if "poa_bound" in spec.outputs and rep.poa_bound is not None:
-                row["poa_bound"] = rep.poa_bound
-            return row
         except CapacityError:
-            pass  # equilibrium columns stay "na"; fall through for the rest
-    if "tr_opt" in spec.outputs:
-        from .optimizer import solve_optimal
-
-        row["tr_opt"] = solve_optimal(inst).tr
-    if "poa_bound" in spec.outputs:
-        from .equilibrium import mixing_level
-
-        z = mixing_level(inst)
-        if z > 0:
-            n1 = max(inst.user_counts)
-            row["poa_bound"] = 1.0 + n1 * inst.mu / (n1 * z * inst.phi + z * inst.mu)
+            pass  # equilibrium columns stay "na"
+    if rep is not None:
+        row["ne_count"] = rep.ne_count
+        values = asdict(rep)
+    else:
+        values = {"poa_bound": poa_bound(inst)}
+        if "tr_opt" in spec.outputs:
+            values["tr_opt"] = solve_optimal(inst).tr
+    for out in spec.outputs:
+        if values.get(out) is not None:
+            row[out] = values[out]
     return row
 
 
-def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int | None = None) -> list[dict]:
+def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int = 1) -> list[dict]:
     """One row per grid point, in grid order regardless of completion order."""
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda g: _row(spec, g, cap), spec.grid))

@@ -17,8 +17,10 @@ non-equilibrium states, and the (u1, u2) grid splits into five regions:
 
 The thresholds divide by 2*qb, so at q = 1 they are undefined; there the
 all-direct state is the unique equilibrium (any relayed packet is lost with
-certainty, so rerouting to the direct path always strictly helps) and the
-mixed regions are settled by the deviation oracle.
+certainty, so rerouting to the direct path always strictly helps), and every
+mixed state, which relays at least one user, is not one.  `classify`,
+`scan_nash` and `construct_existence_ne` all evaluate the one region
+predicate `_is_ne`, on scalars or on the broadcast grid.
 
 Throughout, "source 1" means the source with the larger user count; instances
 given in the other order are relabeled internally and results are mapped back.
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
 from .model import TOLERANCE, Instance, RoutingProfile, total_traffic
 from .equilibrium import is_nash_characterization, is_nash_deviation_oracle
+from .optimizer import solve_optimal
 
 
 @dataclass(frozen=True)
@@ -73,39 +76,57 @@ def _check_sorted(inst: Instance) -> None:
         )
 
 
-def _canonical2(inst: Instance) -> tuple[Instance, bool]:
-    """(instance with counts non-increasing, whether the sources were swapped)."""
+def _threshold(inst: Instance, n_self: int, n_other: int, u_other):
+    """t_self given the other source's direct count (an int or an array)."""
+    qb = inst.qbar
+    qm = inst.q * inst.mu / inst.phi
+    return (qm + u_other * (1.0 + qb * qb) + (n_self + 1) * qb - n_other * qb * qb) / (2.0 * qb)
+
+
+def _checked_threshold(inst: Instance, name: str, self_idx: int, u_other: int) -> float:
     _check_two_sources(inst)
-    if inst.user_counts[0] >= inst.user_counts[1]:
-        return inst, False
-    swapped = Instance(
-        (inst.user_counts[1], inst.user_counts[0]), inst.phi, inst.mu, inst.q
-    )
-    return swapped, True
+    _check_sorted(inst)
+    if inst.q == 1.0:
+        raise UndefinedThresholdError(f"{name} is undefined at q = 1 (divides by 2*(1-q))")
+    counts = inst.user_counts
+    return _threshold(inst, counts[self_idx], counts[1 - self_idx], u_other)
 
 
 def t1(inst: Instance, u2: int) -> float:
     """Largest u1 (up to the -1 slack) tolerated at equilibrium, given u2."""
-    _check_two_sources(inst)
-    _check_sorted(inst)
-    if inst.q == 1.0:
-        raise UndefinedThresholdError("t1 is undefined at q = 1 (divides by 2*(1-q))")
-    n1, n2 = inst.user_counts
-    qb = inst.qbar
-    qm = inst.q * inst.mu / inst.phi
-    return (qm + u2 * (1.0 + qb * qb) + (n1 + 1) * qb - n2 * qb * qb) / (2.0 * qb)
+    return _checked_threshold(inst, "t1", 0, u2)
 
 
 def t2(inst: Instance, u1: int) -> float:
     """Mirror threshold for the smaller source, given u1."""
-    _check_two_sources(inst)
-    _check_sorted(inst)
-    if inst.q == 1.0:
-        raise UndefinedThresholdError("t2 is undefined at q = 1 (divides by 2*(1-q))")
-    n1, n2 = inst.user_counts
-    qb = inst.qbar
-    qm = inst.q * inst.mu / inst.phi
-    return (qm + u1 * (1.0 + qb * qb) + (n2 + 1) * qb - n1 * qb * qb) / (2.0 * qb)
+    return _checked_threshold(inst, "t2", 1, u1)
+
+
+def _is_ne(canon: Instance, a1, a2, eps: float):
+    """The region conditions at (a1, a2) of a sorted instance.
+
+    Works alike on ints and on a column `a1` broadcast against a row `a2`;
+    the in-place updates keep at most four full grids alive at once.
+    """
+    n1, n2 = canon.user_counts
+    if canon.q == 1.0:
+        # Every other state relays a user, who always gains by going direct.
+        return (a1 == n1) & (a2 == n2)
+    qb = canon.qbar
+    qm = canon.q * canon.mu / canon.phi
+    th1 = _threshold(canon, n1, n2, a2)
+    th2 = _threshold(canon, n2, n1, a1)
+    # Regions 2 and 3 share u1 < n1, u1 >= t1 - 1 and the exclusion of 1b.
+    ne = a1 >= th1 - 1.0 - eps
+    ne &= a1 < n1
+    ne &= (a1 > 0) | (a2 == 0)
+    # Region 3 (the row u2 = n2) caps u1 at t1; region 2 needs u2 >= t2 - 1.
+    side = a1 <= th1 + eps
+    side &= a2 == n2
+    side |= (a2 >= th2 - 1.0 - eps) & (a2 < n2)
+    ne &= side
+    ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + eps))  # region 4
+    return ne
 
 
 def _case_id(n1: int, n2: int, a1: int, a2: int) -> str:
@@ -124,67 +145,30 @@ def classify(
     inst: Instance, state: TwoSourceState, eps: float = TOLERANCE
 ) -> TwoSourceVerdict:
     """Equilibrium verdict for one (u1, u2) state via the region conditions."""
-    canon, swapped = _canonical2(inst)
+    _check_two_sources(inst)
+    canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    a1, a2 = (state.u2, state.u1) if swapped else (state.u1, state.u2)
+    u = (state.u1, state.u2)
+    a1, a2 = u[perm[0]], u[perm[1]]
     if not (0 <= a1 <= n1 and 0 <= a2 <= n2):
         raise InvalidInputError(f"state {state} out of range for counts {inst.user_counts}")
-    case = _case_id(n1, n2, a1, a2)
-
-    if canon.q == 1.0:
-        if case == "4":
-            is_ne = True  # n1*qb = 0 <= q*mu/phi + n2 + qb holds trivially
-        elif case in ("1a", "1b"):
-            is_ne = False
-        else:
-            is_ne = is_nash_deviation_oracle(inst, state.expand(inst)).is_ne
-        return TwoSourceVerdict(case, is_ne, None, None)
-
-    th1 = t1(canon, a2)
-    th2 = t2(canon, a1)
-    qm = canon.q * canon.mu / canon.phi
-    if case in ("1a", "1b"):
-        is_ne = False
-    elif case == "2":
-        is_ne = a1 >= th1 - 1.0 - eps and a2 >= th2 - 1.0 - eps
-    elif case == "3":
-        is_ne = th1 - 1.0 - eps <= a1 <= th1 + eps
-    else:  # case 4
-        is_ne = n1 * canon.qbar <= qm + n2 + canon.qbar + eps
-    if swapped:
-        th1, th2 = th2, th1
-    return TwoSourceVerdict(case, is_ne, th1, th2)
+    is_ne = bool(_is_ne(canon, a1, a2, eps))
+    th = (None, None) if canon.q == 1.0 else (t1(canon, a2), t2(canon, a1))
+    return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])
 
 
 def scan_nash(inst: Instance, eps: float = TOLERANCE) -> list[TwoSourceState]:
     """All equilibrium states on the (u1, u2) grid, sorted by (u1, u2).
 
     Vectorized over the whole grid; feasible up to user counts around 1e4.
+    At q = 1 only the all-direct corner can qualify, so only it is scanned.
     """
-    canon, swapped = _canonical2(inst)
+    _check_two_sources(inst)
+    canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    if canon.q == 1.0:
-        states = [(n1, n2)]
-    else:
-        qb = canon.qbar
-        qm = canon.q * canon.mu / canon.phi
-        a1 = np.arange(n1 + 1)[:, None]
-        a2 = np.arange(n2 + 1)[None, :]
-        th1 = (qm + a2 * (1.0 + qb * qb) + (n1 + 1) * qb - n2 * qb * qb) / (2.0 * qb)
-        th2 = (qm + a1 * (1.0 + qb * qb) + (n2 + 1) * qb - n1 * qb * qb) / (2.0 * qb)
-        case4 = (a1 == n1) & (a2 == n2) & (n1 * qb <= qm + n2 + qb + eps)
-        case3 = (
-            (a1 > 0) & (a1 < n1) & (a2 == n2)
-            & (a1 >= th1 - 1.0 - eps) & (a1 <= th1 + eps)
-        )
-        case2 = (
-            (a1 < n1) & (a2 < n2) & ~((a1 == 0) & (a2 > 0))
-            & (a1 >= th1 - 1.0 - eps) & (a2 >= th2 - 1.0 - eps)
-        )
-        ne = case4 | case3 | case2
-        states = [(int(i), int(j)) for i, j in np.argwhere(ne)]
-    if swapped:
-        states = [(b, a) for a, b in states]
+    lo = (n1, n2) if canon.q == 1.0 else (0, 0)
+    ne = _is_ne(canon, np.arange(lo[0], n1 + 1)[:, None], np.arange(lo[1], n2 + 1)[None, :], eps)
+    states = (np.argwhere(ne) + lo)[:, list(perm)].tolist()
     return [TwoSourceState(a, b) for a, b in sorted(states)]
 
 
@@ -195,16 +179,14 @@ def construct_existence_ne(inst: Instance) -> TwoSourceState:
     floor(t1(n2)), clamped into [t1(n2) - 1, t1(n2)] and [1, n1 - 1], paired
     with u2 = n2.  The result is re-checked before being returned.
     """
-    canon, swapped = _canonical2(inst)
+    _check_two_sources(inst)
+    canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    qb = canon.qbar
-    qm = canon.q * canon.mu / canon.phi
-    if n1 * qb <= qm + n2 + qb + TOLERANCE:
-        a1, a2 = n1, n2
+    if _is_ne(canon, n1, n2, TOLERANCE):
+        a = (n1, n2)
     else:
-        a1 = min(max(math.floor(t1(canon, n2)), 1), n1 - 1)
-        a2 = n2
-    state = TwoSourceState(a2, a1) if swapped else TwoSourceState(a1, a2)
+        a = (min(max(math.floor(t1(canon, n2)), 1), n1 - 1), n2)
+    state = TwoSourceState(a[perm[0]], a[perm[1]])
     verdict = classify(inst, state)
     if not verdict.is_ne:
         raise InternalCheckError(f"constructed state {state} is not an equilibrium")
@@ -222,9 +204,8 @@ def check_corollaries(inst: Instance, eps: float = TOLERANCE) -> dict[str, str]:
       unique_all_direct_ne     -- if n1*qb < q*mu/phi + n2 + qb and q > 2/n,
                                   all-direct is the only NE.
     """
-    from .optimizer import solve_optimal  # deferred: optimizer is heavier
-
-    canon, swapped = _canonical2(inst)
+    _check_two_sources(inst)
+    canon, _ = inst.canonicalized()
     n1, n2 = canon.user_counts
     qb = canon.qbar
     qm = canon.q * canon.mu / canon.phi

@@ -87,6 +87,17 @@ def test_na_markers_when_enumeration_is_infeasible():
     assert ",na," in text
 
 
+def test_capacity_fallback_matches_enumerated_row():
+    # z > 0, so the bound is defined; 3240 profiles, so cap=10 forces the fallback.
+    base = ln.Instance((7, 4, 2), 1.0, 0.1, 0.1)
+    assert ln.mixing_level(base) > 0 and ln.count_profiles(base) == 3240
+    spec = SweepSpec(base=base, axis="q", grid=(0.1,))
+    capped, full = run_sweep(spec, cap=10)[0], run_sweep(spec)[0]
+    assert capped["ne_count"] == NA and full["ne_count"] != NA
+    assert capped["tr_opt"] == full["tr_opt"]
+    assert capped["poa_bound"] == full["poa_bound"] == ln.poa_bound(base)
+
+
 def test_plot_data_headers_and_round_trip(tmp_path):
     spec = small_spec(outputs=("poa_exact", "tr_opt"))
     rows = run_sweep(spec)

@@ -196,6 +196,33 @@ def test_corollaries_q1_instance():
     assert res["all_indirect_ne_iff"] == "pass"
 
 
+def test_classify_q1_mixed_state_is_not_ne_at_heavy_traffic():
+    # At q = 1 every relayed user strictly gains by going direct, but at
+    # n1 = 1e9 the gain is below the oracle's absolute tolerance.  classify
+    # must still follow the region conditions, like the characterization.
+    inst = ln.Instance((10**9, 1), 1.0, 1.0, 1.0)
+    mirror = ln.Instance((1, 10**9), 1.0, 1.0, 1.0)
+    for i, s in ((inst, TwoSourceState(10**9 - 1, 1)), (mirror, TwoSourceState(1, 10**9 - 1))):
+        verdict = ln.classify(i, s)
+        assert verdict.case_id == "3"
+        assert verdict.is_ne is False
+        assert ln.is_nash_characterization(i, s.expand(i)).is_ne is False
+    assert ln.classify(inst, TwoSourceState(10**9, 1)).is_ne
+
+
+def test_q1_scan_skips_the_grid_at_heavy_traffic():
+    # At q = 1 only the all-direct corner can be an equilibrium; a full
+    # (n1+1) x (n2+1) grid here would take about 10 GB per boolean array.
+    for counts in ((10**5, 10**5), (10**5, 3), (3, 10**5)):
+        inst = ln.Instance(counts, 1.0, 1.0, 1.0)
+        all_direct = TwoSourceState(*counts)
+        assert ln.scan_nash(inst) == [all_direct]
+        report = ln.poa_report(inst)
+        assert report.ne_count == 1
+        assert report.tr_worst_ne == ln.total_traffic(inst, all_direct.expand(inst))
+        assert ln.check_corollaries(inst)["unique_all_direct_ne"] == "pass"
+
+
 def test_corollary_full_swap_condition_b():
     # Equal counts and nearly lossless sidelinks: (0, 0) is an equilibrium.
     inst = ln.Instance((5, 5), 1.0, 1.0, 0.01)
