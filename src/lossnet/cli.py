@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import model, optimizer, equilibrium, two_source, packet_sim, sweeps
@@ -32,7 +33,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -61,23 +62,6 @@ def _solution_json(sol: optimizer.OptimalSolution) -> dict:
     }
 
 
-def _verdict_json(verdict: equilibrium.NEVerdict) -> dict:
-    return {
-        "is_ne": verdict.is_ne,
-        "i_star": verdict.i_star,
-        "violations": [
-            {
-                "kind": v.kind,
-                "source": v.source,
-                "relay": v.relay,
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-            }
-            for v in verdict.violations
-        ],
-    }
-
-
 def _cmd_solve_opt(args) -> int:
     inst = _load_instance(args.instance)
     sol = optimizer.solve_optimal(inst)
@@ -100,10 +84,10 @@ def _cmd_check_ne(args) -> int:
     inst = _load_instance(args.instance)
     prof = _load_profile(args.profile, inst)
     verdict = equilibrium.is_nash_characterization(inst, prof)
-    out = {"characterization": _verdict_json(verdict)}
+    out = {"characterization": asdict(verdict)}
     if args.oracle:
         ref = equilibrium.is_nash_deviation_oracle(inst, prof)
-        out["oracle"] = _verdict_json(ref)
+        out["oracle"] = asdict(ref)
         if ref.is_ne != verdict.is_ne:
             raise InternalCheckError(
                 f"characterization says is_ne={verdict.is_ne} "
@@ -133,17 +117,7 @@ def _cmd_enumerate_ne(args) -> int:
 
 def _cmd_poa(args) -> int:
     inst = _load_instance(args.instance)
-    rep = equilibrium.poa_report(inst, cap=args.cap)
-    _emit(
-        {
-            "tr_opt": rep.tr_opt,
-            "tr_worst_ne": rep.tr_worst_ne,
-            "poa_exact": rep.poa_exact,
-            "z": rep.z,
-            "poa_bound": rep.poa_bound,
-            "ne_count": rep.ne_count,
-        }
-    )
+    _emit(asdict(equilibrium.poa_report(inst, cap=args.cap)))
     return EXIT_OK
 
 
@@ -206,21 +180,7 @@ def _cmd_simulate(args) -> int:
         report = packet_sim.assess_outcome(
             inst, prof, outcome, model.traffic_rates(inst, prof), args.sigmas
         )
-        out["validation"] = {
-            "passed": report.passed,
-            "checks": [
-                {
-                    "kind": c.kind,
-                    "key": list(c.key),
-                    "empirical": c.empirical,
-                    "expected": c.expected,
-                    "std_err": c.std_err,
-                    "margin_sigmas": c.margin_sigmas,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
-        }
+        out["validation"] = {"passed": report.passed, **asdict(report)}
     _emit(out)
     if args.out_csv:
         lines = ["link,offered,blocked,empirical_block_prob,std_err"]

@@ -15,6 +15,11 @@ is an equilibrium iff
                      load_{i*} + qbar).
 Indifference counts as equilibrium, so a deviation must improve by more than
 the shared tolerance to disqualify a profile.
+
+`_conditions` is the only copy of (i) and (ii), over a block of profiles:
+`enumerate_nash` runs it on the blocks of `model.profile_blocks`,
+`is_nash_characterization` on a block of one.  The oracle and the
+best-response dynamics stay scalar and independent of it.
 """
 
 from __future__ import annotations
@@ -22,15 +27,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapacityError
+import numpy as np
+
+from .errors import InvalidInputError
 from .model import (
     TOLERANCE,
     Instance,
     RoutingProfile,
     TrafficSummary,
-    count_profiles,
-    iter_profiles,
     loss_rate,
+    profile_blocks,
     summarize,
     total_traffic,
 )
@@ -61,49 +67,58 @@ class NEVerdict:
     violations: tuple[Violation, ...]
 
 
-def _loads(inst: Instance, prof: RoutingProfile) -> tuple[list[float], int]:
-    qbar = inst.qbar
-    u, v = prof.u(), prof.v()
-    load = [u[i] + v[i] * qbar for i in range(inst.m)]
-    i_star = min(range(inst.m), key=lambda i: (load[i], i))
-    return load, i_star
+def _conditions(inst: Instance, flow: np.ndarray) -> tuple[np.ndarray, list]:
+    """Conditions (i) and (ii) on a (k, m, m) block of flow matrices.
 
-
-def is_nash_characterization(
-    inst: Instance, prof: RoutingProfile, eps: float = TOLERANCE
-) -> NEVerdict:
-    """Equilibrium verdict from the closed-form load conditions."""
-    prof.validate_for(inst)
-    load, i_star = _loads(inst, prof)
-    if inst.m == 1:
-        return NEVerdict(True, 0, ())
+    Returns i_star, shape (k,), and per violation kind one (kind, lhs, rhs,
+    violated) tuple of (k, m, m) arrays over (source, link): condition (i)
+    sits on the diagonal, the two halves of (ii) on the occupied indirect
+    classes.
+    """
     qbar = inst.qbar
     qm = inst.q * inst.mu / inst.phi
-    u, v = prof.u(), prof.v()
-    viols: list[Violation] = []
-    cap_min = load[i_star] + qbar + qm
-    for i in range(inst.m):
-        if u[i] > 0:
-            lhs = qbar * load[i]
-            if lhs > cap_min + eps:
-                viols.append(Violation("condition-(i)", i, None, lhs, cap_min))
-    for i, l in prof.indirect_edges():
-        lhs = load[l]
-        rhs_dp = qbar * (u[i] + 1 + v[i] * qbar) - qm
-        if lhs > rhs_dp + eps:
-            viols.append(Violation("condition-(ii)-DP", i, l, lhs, rhs_dp))
-        rhs_ip = load[i_star] + qbar
-        if lhs > rhs_ip + eps:
-            viols.append(Violation("condition-(ii)-IP", i, l, lhs, rhs_ip))
-    return NEVerdict(not viols, i_star, tuple(viols))
+    u = np.diagonal(flow, axis1=1, axis2=2)
+    v = flow.sum(axis=1) - u
+    load = u + v * qbar
+    i_star = load.argmin(axis=1)
+    load_star = load.min(axis=1)[:, None, None]
+    direct = (flow > 0) & np.eye(flow.shape[1], dtype=bool)
+    relayed = (flow > 0) & ~direct
+    full = np.zeros(flow.shape)  # adding it spreads a side over (k, m, m)
+    checks = []
+    for kind, occupied, lhs, rhs in (
+        ("condition-(i)", direct, (qbar * load)[:, :, None], load_star + qbar + qm),
+        ("condition-(ii)-DP", relayed, load[:, None, :],
+         (qbar * (u + 1 + v * qbar) - qm)[:, :, None]),
+        ("condition-(ii)-IP", relayed, load[:, None, :], load_star + qbar),
+    ):
+        lhs, rhs = lhs + full, rhs + full
+        checks.append((kind, lhs, rhs, occupied & (lhs > rhs + TOLERANCE)))
+    return i_star, checks
 
 
-def is_nash_deviation_oracle(
-    inst: Instance, prof: RoutingProfile, eps: float = TOLERANCE
-) -> NEVerdict:
+def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
+    """Equilibrium verdict from the closed-form load conditions."""
+    prof.validate_for(inst)
+    if inst.n >= 2**62:
+        raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
+    i_star, checks = _conditions(inst, np.array([prof.flow], dtype=np.int64))
+    found = []
+    for kind, lhs, rhs, bad in checks:
+        lhs, rhs = lhs[0].tolist(), rhs[0].tolist()
+        sources, links = (x.tolist() for x in np.nonzero(bad[0]))
+        found += [(kind, i, l, lhs[i][l], rhs[i][l]) for i, l in zip(sources, links)]
+    # Condition (i) by source first, then each indirect class: DP before IP.
+    found.sort(key=lambda f: (f[0] != "condition-(i)", f[1], f[2]))
+    viols = tuple(Violation(kind, i, None if i == l else l, a, b) for kind, i, l, a, b in found)
+    return NEVerdict(not viols, int(i_star[0]), viols)
+
+
+def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     """Equilibrium verdict by trying every unilateral one-user move."""
     prof.validate_for(inst)
-    _, i_star = _loads(inst, prof)
+    u, v = prof.u(), prof.v()
+    i_star = min(range(inst.m), key=lambda i: (u[i] + v[i] * inst.qbar, i))
     viols: list[Violation] = []
     for i in range(inst.m):
         for r in range(inst.m):
@@ -114,7 +129,7 @@ def is_nash_deviation_oracle(
                 if r2 == r:
                     continue
                 alt = loss_rate(inst, prof.move(i, r, r2), i, r2)
-                if current > alt + eps:
+                if current > alt + TOLERANCE:
                     if r == i:
                         kind, relay = "condition-(i)", r2
                     elif r2 == i:
@@ -129,14 +144,12 @@ def enumerate_nash(
     inst: Instance, cap: int = 1_000_000
 ) -> list[tuple[RoutingProfile, TrafficSummary]]:
     """Every equilibrium profile with its traffic summary, lexicographic order."""
-    total = count_profiles(inst)
-    if total > cap:
-        raise CapacityError(
-            f"instance has {total} profiles, above the enumeration cap {cap}"
-        )
     found = []
-    for prof in iter_profiles(inst):
-        if is_nash_characterization(inst, prof).is_ne:
+    for blk in profile_blocks(inst, cap):
+        _, checks = _conditions(inst, blk)
+        is_ne = ~np.any([bad.any(axis=(1, 2)) for *_, bad in checks], axis=0)
+        for flow in blk[is_ne].tolist():
+            prof = RoutingProfile(flow)
             found.append((prof, summarize(inst, prof)))
     return found
 

@@ -22,17 +22,23 @@ single user is
     direct path:          phi * T_i / (T_i + mu)
     indirect via relay j: phi * (q + (1 - q) * T_j / (T_j + mu)).
 
+`profile_blocks` is the one profile enumerator and the one place the
+profile-count cap is enforced; every exhaustive search walks its blocks.
+
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InvalidInputError
+import numpy as np
+
+from .errors import CapacityError, InvalidInputError
 
 #: Absolute tolerance for equality/ordering comparisons on rates and loads.
 #: Every quantity compared in equilibrium logic is a low-degree rational
@@ -281,19 +287,77 @@ def count_profiles(inst: Instance) -> int:
     return total
 
 
+#: Most profiles in one block yielded by `profile_blocks`.
+BLOCK = 1024
+
+
+def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarray]:
+    """Every valid profile as (k, m, m) int64 flow blocks, k <= BLOCK.
+
+    Profiles come in `iter_profiles` order.  CapacityError (more profiles
+    than `cap`) and InvalidInputError (too many users for int64) are raised
+    here, before any block is built.  The leading rows are walked one
+    composition at a time and the last row is vectorized: heads are stacked
+    while it is short, and it is cut into chunks when longer than BLOCK.
+    """
+    if inst.n >= 2**62:
+        raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
+    total = count_profiles(inst)
+    if cap is not None and total > cap:
+        raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")
+    m, counts = inst.m, inst.user_counts
+    per_block = max(1, BLOCK // math.comb(counts[-1] + m - 1, m - 1))
+    return _blocks(_heads(counts[:-1], m), per_block, counts[-1], m)
+
+
+def _heads(counts: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    """The leading rows of every profile, flattened, ascending lex."""
+    if not counts:
+        yield ()
+        return
+    for row in compositions(counts[0], m):
+        for rest in _heads(counts[1:], m):
+            yield row + rest
+
+
+def _blocks(heads, per_block: int, last: int, m: int) -> Iterator[np.ndarray]:
+    """Each group of `per_block` heads joined with every chunk of the last row."""
+    while group := list(itertools.islice(heads, per_block)):
+        lead = np.array(group, dtype=np.int64).reshape(len(group), 1, m - 1, m)
+        for tail in _row_chunks(last, m):
+            blk = np.empty((len(group), len(tail), m, m), dtype=np.int64)
+            blk[:, :, :-1] = lead
+            blk[:, :, -1] = tail
+            yield blk.reshape(-1, m, m)
+
+
+def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
+    """compositions(total, m) as (k, m) int64 arrays of at most BLOCK rows.
+
+    The first m - 2 parts are walked in Python; the last two, (a, rest - a),
+    come from one arange per walked prefix.
+    """
+    if m == 1:
+        yield np.array([[total]], dtype=np.int64)
+        return
+    parts, size = [], 0
+    for *prefix, rest in compositions(total, m - 1):
+        for start in range(0, rest + 1, BLOCK):
+            a = np.arange(start, min(rest + 1, start + BLOCK), dtype=np.int64)
+            if size + len(a) > BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+            pre = np.full((len(a), m - 2), prefix, dtype=np.int64)
+            parts.append(np.column_stack([pre, a, rest - a]))
+            size += len(a)
+    yield np.concatenate(parts)
+
+
 def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:
     """All valid profiles, lexicographically ascending on the flattened flow."""
-
-    def rec(i: int, rows: list[tuple[int, ...]]) -> Iterator[RoutingProfile]:
-        if i == inst.m:
-            yield RoutingProfile(tuple(rows))
-            return
-        for row in compositions(inst.user_counts[i], inst.m):
-            rows.append(row)
-            yield from rec(i + 1, rows)
-            rows.pop()
-
-    yield from rec(0, [])
+    for blk in profile_blocks(inst):
+        for flow in blk.tolist():
+            yield RoutingProfile(flow)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ receivers' offered loads stay as equal as possible.  Both balancing rules are
 exact greedy minimizers of the convex per-link blocking sum, realized
 incrementally with heaps.
 
-`brute_force_optimal` enumerates every routing profile and is the ground
-truth the solver is validated against on small instances.
+`brute_force_optimal` evaluates every routing profile, block by block from
+`model.profile_blocks`, and is the ground truth the solver is validated
+against on small instances.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InternalCheckError
-from .model import (
-    Instance,
-    RoutingProfile,
-    compositions,
-    count_profiles,
-    total_traffic,
-)
+from .errors import InternalCheckError
+from .model import Instance, RoutingProfile, profile_blocks, total_traffic
 
 #: Relative window within which two total-traffic values count as tied.
 _TIE_REL = 1e-12
@@ -208,61 +203,28 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
     users, then the earliest in lexicographic enumeration order; that pick
     always satisfies the structural rules even when q = 0 makes ties abound.
     """
-    total = count_profiles(inst)
-    if total > cap:
-        raise CapacityError(
-            f"instance has {total} profiles, above the enumeration cap {cap}"
-        )
     m, phi, mu, qbar = inst.m, inst.phi, inst.mu, inst.qbar
-    counts = inst.user_counts
+    weights = np.full((m, m), qbar * phi)
+    np.fill_diagonal(weights, phi)  # offered load per user, by (origin, link)
 
-    # Per-row composition tables; the last row is evaluated vectorized.
-    row_comps = [np.array(list(compositions(n, m)), dtype=np.int64) for n in counts]
-    weights = []
-    for i in range(m):
-        w = np.full(m, qbar * phi)
-        w[i] = phi
-        weights.append(row_comps[i] * w)  # (C_i, m) offered-load contributions
+    best_tr, best_sum_u, best_flow = -1.0, -1, None
+    for blk in profile_blocks(inst, cap):
+        t = (blk * weights).sum(axis=1)  # offered load per link
+        tr = (t * mu / (t + mu)).sum(axis=1)
+        sum_u = np.trace(blk, axis1=1, axis2=2)
+        blk_best = float(tr.max())
+        tie_mask = np.abs(tr - blk_best) <= _TIE_REL * max(1.0, blk_best)
+        cand_sum = int(sum_u[tie_mask].max())
+        idx = int(np.flatnonzero(tie_mask & (sum_u == cand_sum))[0])
+        cand_tr = float(tr[idx])
+        tie = abs(cand_tr - best_tr) <= _TIE_REL * max(1.0, abs(cand_tr), abs(best_tr))
+        if (cand_tr > best_tr and not tie) or (tie and cand_sum > best_sum_u):
+            best_tr, best_sum_u, best_flow = max(cand_tr, best_tr), cand_sum, blk[idx].tolist()
 
-    last = m - 1
-    w_last = weights[last]
-    diag_last = row_comps[last][:, last]
-
-    best_tr = -1.0
-    best_sum_u = -1
-    best_flow: tuple[tuple[int, ...], ...] | None = None
-
-    def consider(tr: float, sum_u: int, flow) -> None:
-        nonlocal best_tr, best_sum_u, best_flow
-        tie = abs(tr - best_tr) <= _TIE_REL * max(1.0, abs(tr), abs(best_tr))
-        if tr > best_tr and not tie:
-            best_tr, best_sum_u, best_flow = tr, sum_u, flow
-        elif tie and sum_u > best_sum_u:
-            best_tr, best_sum_u, best_flow = max(tr, best_tr), sum_u, flow
-
-    def rec(i: int, prefix_t: np.ndarray, prefix_u: int, rows: list[tuple[int, ...]]):
-        if i == last:
-            t = prefix_t[None, :] + w_last  # (C_last, m)
-            tr = (t * mu / (t + mu)).sum(axis=1)
-            blk_best = float(tr.max())
-            tie_mask = np.abs(tr - blk_best) <= _TIE_REL * max(1.0, blk_best)
-            sum_u = prefix_u + diag_last
-            cand_sum = int(sum_u[tie_mask].max())
-            idx = int(np.nonzero(tie_mask & (sum_u == cand_sum))[0][0])
-            flow = tuple(rows) + (tuple(int(x) for x in row_comps[last][idx]),)
-            consider(float(tr[idx]), cand_sum, flow)
-            return
-        for k in range(row_comps[i].shape[0]):
-            rows.append(tuple(int(x) for x in row_comps[i][k]))
-            rec(i + 1, prefix_t + weights[i][k], prefix_u + int(row_comps[i][k, i]), rows)
-            rows.pop()
-
-    rec(0, np.zeros(m), 0, [])
-    assert best_flow is not None
     profile = RoutingProfile(best_flow)
     u = profile.u()
     v = profile.v()
-    split = _derive_threshold(counts, u, v)
+    split = _derive_threshold(inst.user_counts, u, v)
     if split is None:
         raise InternalCheckError(
             f"brute-force maximizer violates the split structure: flow={best_flow}"

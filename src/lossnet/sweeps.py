@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
-from .model import Instance, instance_from_json
+from .model import Instance, _as_number, instance_from_json
 from .equilibrium import poa_bound, poa_report
 from .optimizer import solve_optimal
 
@@ -54,9 +54,9 @@ class SweepSpec:
 def apply_axis(base: Instance, axis: str, value) -> Instance:
     """The base instance with one parameter replaced by a grid value."""
     if axis == "q":
-        return Instance(base.user_counts, base.phi, base.mu, float(value))
+        return Instance(base.user_counts, base.phi, base.mu, _as_number(value, "grid"))
     if axis == "mu":
-        return Instance(base.user_counts, base.phi, float(value), base.q)
+        return Instance(base.user_counts, base.phi, _as_number(value, "grid"), base.q)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"n1 grid values must be integers, got {value!r}")
     return Instance((value,) + base.user_counts[1:], base.phi, base.mu, base.q)
@@ -73,8 +73,10 @@ def spec_from_json(obj: dict) -> SweepSpec:
     grid = obj["grid"]
     if not isinstance(grid, list):
         raise InvalidInputError("field 'grid' must be a list")
-    outputs = tuple(obj.get("outputs", OUTPUTS))
-    return SweepSpec(base=base, axis=axis, grid=tuple(grid), outputs=outputs)
+    outputs = obj.get("outputs", list(OUTPUTS))
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise InvalidInputError("field 'outputs' must be a list of strings")
+    return SweepSpec(base=base, axis=axis, grid=tuple(grid), outputs=tuple(outputs))
 
 
 def _row(spec: SweepSpec, value, cap: int) -> dict:

@@ -102,7 +102,7 @@ def t2(inst: Instance, u1: int) -> float:
     return _checked_threshold(inst, "t2", 1, u1)
 
 
-def _is_ne(canon: Instance, a1, a2, eps: float):
+def _is_ne(canon: Instance, a1, a2):
     """The region conditions at (a1, a2) of a sorted instance.
 
     Works alike on ints and on a column `a1` broadcast against a row `a2`;
@@ -117,15 +117,15 @@ def _is_ne(canon: Instance, a1, a2, eps: float):
     th1 = _threshold(canon, n1, n2, a2)
     th2 = _threshold(canon, n2, n1, a1)
     # Regions 2 and 3 share u1 < n1, u1 >= t1 - 1 and the exclusion of 1b.
-    ne = a1 >= th1 - 1.0 - eps
+    ne = a1 >= th1 - 1.0 - TOLERANCE
     ne &= a1 < n1
     ne &= (a1 > 0) | (a2 == 0)
     # Region 3 (the row u2 = n2) caps u1 at t1; region 2 needs u2 >= t2 - 1.
-    side = a1 <= th1 + eps
+    side = a1 <= th1 + TOLERANCE
     side &= a2 == n2
-    side |= (a2 >= th2 - 1.0 - eps) & (a2 < n2)
+    side |= (a2 >= th2 - 1.0 - TOLERANCE) & (a2 < n2)
     ne &= side
-    ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + eps))  # region 4
+    ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + TOLERANCE))  # region 4
     return ne
 
 
@@ -141,9 +141,7 @@ def _case_id(n1: int, n2: int, a1: int, a2: int) -> str:
     return "2"
 
 
-def classify(
-    inst: Instance, state: TwoSourceState, eps: float = TOLERANCE
-) -> TwoSourceVerdict:
+def classify(inst: Instance, state: TwoSourceState) -> TwoSourceVerdict:
     """Equilibrium verdict for one (u1, u2) state via the region conditions."""
     _check_two_sources(inst)
     canon, perm = inst.canonicalized()
@@ -152,12 +150,12 @@ def classify(
     a1, a2 = u[perm[0]], u[perm[1]]
     if not (0 <= a1 <= n1 and 0 <= a2 <= n2):
         raise InvalidInputError(f"state {state} out of range for counts {inst.user_counts}")
-    is_ne = bool(_is_ne(canon, a1, a2, eps))
+    is_ne = bool(_is_ne(canon, a1, a2))
     th = (None, None) if canon.q == 1.0 else (t1(canon, a2), t2(canon, a1))
     return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])
 
 
-def scan_nash(inst: Instance, eps: float = TOLERANCE) -> list[TwoSourceState]:
+def scan_nash(inst: Instance) -> list[TwoSourceState]:
     """All equilibrium states on the (u1, u2) grid, sorted by (u1, u2).
 
     Vectorized over the whole grid; feasible up to user counts around 1e4.
@@ -167,7 +165,7 @@ def scan_nash(inst: Instance, eps: float = TOLERANCE) -> list[TwoSourceState]:
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
     lo = (n1, n2) if canon.q == 1.0 else (0, 0)
-    ne = _is_ne(canon, np.arange(lo[0], n1 + 1)[:, None], np.arange(lo[1], n2 + 1)[None, :], eps)
+    ne = _is_ne(canon, np.arange(lo[0], n1 + 1)[:, None], np.arange(lo[1], n2 + 1)[None, :])
     states = (np.argwhere(ne) + lo)[:, list(perm)].tolist()
     return [TwoSourceState(a, b) for a, b in sorted(states)]
 
@@ -182,7 +180,7 @@ def construct_existence_ne(inst: Instance) -> TwoSourceState:
     _check_two_sources(inst)
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    if _is_ne(canon, n1, n2, TOLERANCE):
+    if _is_ne(canon, n1, n2):
         a = (n1, n2)
     else:
         a = (min(max(math.floor(t1(canon, n2)), 1), n1 - 1), n2)
@@ -193,7 +191,7 @@ def construct_existence_ne(inst: Instance) -> TwoSourceState:
     return state
 
 
-def check_corollaries(inst: Instance, eps: float = TOLERANCE) -> dict[str, str]:
+def check_corollaries(inst: Instance) -> dict[str, str]:
     """Evaluate the three structural consequences on this instance.
 
     Returns "pass" / "fail" / "not-applicable" for each of:
@@ -222,12 +220,12 @@ def check_corollaries(inst: Instance, eps: float = TOLERANCE) -> dict[str, str]:
         results["optimal_all_direct_is_ne"] = "not-applicable"
 
     expected_zero = (n1 == n2 + 1 and inst.q == 0.0) or (
-        n1 == n2 and n1 * (1.0 - qb * qb) <= qb - qm + eps
+        n1 == n2 and n1 * (1.0 - qb * qb) <= qb - qm + TOLERANCE
     )
     actual_zero = classify(inst, TwoSourceState(0, 0)).is_ne
     results["all_indirect_ne_iff"] = "pass" if expected_zero == actual_zero else "fail"
 
-    if n1 * qb < qm + n2 + qb - eps and inst.q > 2.0 / inst.n + eps:
+    if n1 * qb < qm + n2 + qb - TOLERANCE and inst.q > 2.0 / inst.n + TOLERANCE:
         states = scan_nash(inst)
         results["unique_all_direct_ne"] = (
             "pass" if states == [all_direct] else "fail"

@@ -108,6 +108,18 @@ def test_enumerate_frozen_equilibrium_set_2_2():
     assert worst == pytest.approx(1.3103448275862069, rel=1e-12)
 
 
+def test_enumerate_equals_oracle_filter_of_all_profiles():
+    shapes = [
+        c for m in (1, 2, 3) for c in itertools.product(range(1, 8), repeat=m) if sum(c) <= 7
+    ]
+    cases = [(c, q, mu) for c in shapes for q, mu in ((0.0, 1.0), (0.3, 0.5), (0.7, 3.0))]
+    cases.append(((6, 5, 4), 0.0, 1.0))  # 8,820 profiles: several blocks
+    for counts, q, mu in cases:
+        inst = ln.Instance(counts, 1.0, mu, q)
+        want = [p for p in ln.iter_profiles(inst) if ln.is_nash_deviation_oracle(inst, p).is_ne]
+        assert [p for p, _ in ln.enumerate_nash(inst)] == want, (counts, q, mu)
+
+
 def test_enumerate_cap_error_names_count_and_cap():
     inst = ln.Instance((4, 4), 1.0, 1.0, 0.5)
     with pytest.raises(CapacityError, match="25 profiles.*cap 10"):

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 import lossnet as ln
-from lossnet.errors import InvalidInputError
+from lossnet.errors import CapacityError, InvalidInputError
 
 from conftest import random_instance, random_profile
 
@@ -177,13 +178,36 @@ def test_canonicalized_sorts_and_maps_back():
 
 
 def test_iter_profiles_lexicographic_and_counted():
-    inst = ln.Instance((2, 1), 1.0, 1.0, 0.5)
-    profs = list(ln.iter_profiles(inst))
-    assert len(profs) == ln.count_profiles(inst) == 6
-    flats = [tuple(x for row in p.flow for x in row) for p in profs]
-    assert flats == sorted(flats)
-    for p in profs:
-        p.validate_for(inst)
+    # The second instance spans many blocks, and its last row (5151
+    # compositions) is longer than one block.
+    for counts, total in (((2, 1), 6), ((1, 1, 100), 46_359)):
+        inst = ln.Instance(counts, 1.0, 1.0, 0.5)
+        profs = list(ln.iter_profiles(inst))
+        assert len(profs) == ln.count_profiles(inst) == total
+        flats = [tuple(x for row in p.flow for x in row) for p in profs]
+        assert flats == sorted(set(flats))
+        for p in profs:
+            p.validate_for(inst)
+
+
+def test_iter_profiles_is_lazy_on_a_huge_profile_space():
+    inst = ln.Instance((10**6,) * 3, 1.0, 1.0, 0.3)
+    assert ln.count_profiles(inst) > 2**63
+    start = time.perf_counter()
+    assert next(ln.iter_profiles(inst)).flow == ((0, 0, 10**6),) * 3
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(CapacityError):
+        ln.enumerate_nash(inst)
+    with pytest.raises(CapacityError):
+        ln.brute_force_optimal(inst)
+
+
+def test_counts_beyond_int64_arithmetic_are_rejected():
+    inst = ln.Instance((2**63, 1), 1.0, 1.0, 0.5)
+    with pytest.raises(InvalidInputError, match="int64"):
+        next(ln.iter_profiles(inst))
+    with pytest.raises(InvalidInputError, match="int64"):
+        ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst))
 
 
 def test_instance_json_round_trip():

@@ -66,6 +66,16 @@ def test_solver_matches_oracle_randomized():
         assert a == pytest.approx(b, rel=1e-9)
 
 
+def test_brute_force_tie_pick_frozen_5_5_5_q0():
+    # q = 0 ties every load-balanced profile, and the 9,261 profiles span
+    # several blocks; the tie policy (most direct users, then earliest)
+    # picks all-direct.
+    sol = ln.brute_force_optimal(ln.Instance((5, 5, 5), 1.0, 1.0, 0.0))
+    assert (sol.u, sol.v, sol.profile.flow, sol.threshold) == (
+        (5, 5, 5), (0, 0, 0), ((5, 0, 0), (0, 5, 0), (0, 0, 5)), 1
+    )
+
+
 def test_brute_force_cap_error_names_cap():
     inst = ln.Instance((30, 30, 30), 1.0, 1.0, 0.5)
     with pytest.raises(CapacityError, match="cap 1000"):

@@ -264,6 +264,43 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     assert cli.main(["poa", "--instance", str(notjson)]) == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"axis": "mu", "grid": ["abc"]},
+        {"grid": [None]},
+        {"grid": ["0.3"]},
+        {"grid": [True]},
+        {"outputs": 5},
+        {"outputs": ["tr_opt", 1]},
+    ],
+)
+def test_cli_sweep_malformed_spec_exit_code(tmp_path, capsys, change):
+    spec = {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5}, "axis": "q",
+            "grid": [0.5], **change}
+    out_csv = tmp_path / "data.csv"
+    rc = cli.main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec),
+                   "--out", str(out_csv)])
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "grid" in err or "outputs" in err
+    assert not out_csv.exists()
+
+
+def test_cli_non_utf8_json_exit_code(tmp_path, inst_file):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"m": 1, "n": [1], "phi": 1.0, "mu": 1.0, "q": 0.5, "é": 0}'
+                       .encode("latin-1"))
+    bad = str(latin1)
+    for argv in (
+        ["solve-opt", "--instance", bad],
+        ["poa", "--instance", bad],
+        ["check-ne", "--instance", inst_file, "--profile", bad],
+        ["sweep", "--spec", bad, "--out", str(tmp_path / "data.csv")],
+    ):
+        assert cli.main(argv) == cli.EXIT_INVALID, argv
+
+
 def test_cli_capacity_exit_code(tmp_path):
     inst = write_json(
         tmp_path / "big.json", {"m": 3, "n": [9, 9, 9], "phi": 1.0, "mu": 1.0, "q": 0.5}
