@@ -173,6 +173,8 @@ def best_response_dynamics(
     round with no move (converged), when a previously seen profile recurs
     (cycle), or after `max_rounds` rounds (budget-exhausted).
     """
+    if max_rounds < 1:
+        raise InvalidInputError(f"max_rounds must be at least 1, got {max_rounds!r}")
     start.validate_for(inst)
     rng = random.Random(seed)
     prof = start

@@ -9,8 +9,9 @@ therefore scans every split position and every total number of relayed users
 B, extracts the B users from the donor prefix so the donors' direct loads stay
 as equal as possible, and spreads them over the receiver suffix so the
 receivers' offered loads stay as equal as possible.  Both balancing rules are
-exact greedy minimizers of the convex per-link blocking sum, realized
-incrementally with heaps.
+exact greedy minimizers of the convex per-link blocking sum; for a fixed
+split each pops users in one fixed sorted order, so every B is read off one
+cumulative sum.
 
 `brute_force_optimal` evaluates every routing profile, block by block from
 `model.profile_blocks`, and is the ground truth the solver is validated
@@ -19,7 +20,6 @@ against on small instances.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +85,13 @@ def _profile_from_aggregates(
 def solve_optimal(inst: Instance) -> OptimalSolution:
     """Maximize total delivered rate over all pure routing profiles.
 
-    Runs in O(n * m log m) over the split-position/B double loop, well under
-    the O(m n^2) budget.  Ties are broken deterministically: the all-direct
+    For a split with B donor users, the balancing rules pop users in one fixed
+    order: donors give them up at direct loads n_l, n_l - 1, ..., 1 by (largest
+    load, lowest index), receivers take them at offered loads n_r*phi + mu,
+    then qbar*phi more per user, by (smallest load, lowest index).  So each split
+    is two stable sorts, one cumsum and one argmax: O((m - split) * B * log n)
+    time and O((m - split) * B) floats, where a heap merge needs O(m) memory
+    but B Python steps.  Ties are broken deterministically: the all-direct
     seed candidate wins exact ties, then lower split position, then lower B.
     """
     canon, perm = inst.canonicalized()
@@ -96,62 +101,46 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     # Seed with the all-direct profile; the loop below never evaluates B = 0.
     best_u = list(counts)
     best_v = [0] * m
-    best_frac = sum(mu / (c * phi + mu) for c in counts)
-    best_tr = mu * m - mu * best_frac
+    best_tr = mu * m - mu * sum(mu / (c * phi + mu) for c in counts)
     best_split, best_b = m, 0
 
     # split == m leaves no receivers: only the all-direct case, already seeded.
     for split in range(1, m):
-        donors = list(range(split))
-        receivers = list(range(split, m))
-        u = [counts[l] for l in donors]
-        v = [0] * len(receivers)
-        # Heaps realize "remove from the largest direct load" and "add to the
-        # smallest offered load", ties resolved at the lowest index.
-        donor_heap = [(-u[l], l) for l in donors]
-        heapq.heapify(donor_heap)
-        recv_heap = [(counts[j] * phi + mu, j - split) for j in receivers]
-        heapq.heapify(recv_heap)
-        frac = sum(mu / (counts[l] * phi + mu) for l in donors) + sum(
-            mu / (counts[j] * phi + mu) for j in receivers
-        )
-        for b in range(1, sum(counts[:split]) + 1):
-            neg_ul, l = heapq.heappop(donor_heap)
-            ul = -neg_ul
-            frac -= mu / (ul * phi + mu)
-            ul -= 1
-            frac += mu / (ul * phi + mu)
-            u[l] = ul
-            heapq.heappush(donor_heap, (-ul, l))
+        donors, receivers = counts[:split], counts[split:]
+        big_b = sum(donors)
+        # Donor l pops at direct loads n_l, n_l - 1, ..., 1, flattened by (l, pop).
+        d_src = np.repeat(np.arange(split), donors)
+        d_load = np.repeat(np.cumsum(donors), donors) - np.arange(big_b)
+        d_pop = np.argsort(-d_load, kind="stable")
+        # Receiver r's offered loads as iterated sums, B + 1 per row; a row's
+        # last entry is never among the first B pops.
+        loads = np.full((len(receivers), big_b + 1), qbar * phi)
+        loads[:, 0] = np.array(receivers) * phi + mu
+        r_load = np.cumsum(loads, axis=1).ravel()
+        r_pop = np.argsort(r_load, kind="stable")[:big_b]
+        # Pop b changes the blocking sum by four terms, summed in this order
+        # after the seed, so every tr matches applying the pops one by one.
+        d_old = d_load[d_pop]
+        terms = np.stack([-(mu / (d_old * phi + mu)), mu / ((d_old - 1) * phi + mu),
+                          -(mu / r_load[r_pop]), mu / r_load[r_pop + 1]], axis=1)
+        seed = sum(mu / (c * phi + mu) for c in donors)
+        seed += sum(mu / (c * phi + mu) for c in receivers)
+        tr = mu * m - mu * np.cumsum(np.concatenate(([seed], terms.ravel())))[4::4]
+        k = int(np.argmax(tr))
+        if tr[k] > best_tr:
+            took = np.bincount(r_pop[: k + 1] // (big_b + 1), minlength=len(receivers))
+            best_u = np.bincount(d_src[d_pop[k + 1:]], minlength=split).tolist()
+            best_u += list(receivers)
+            best_v = [0] * split + took.tolist()
+            best_tr, best_split, best_b = tr[k], split, k + 1
 
-            load, r = heapq.heappop(recv_heap)
-            frac -= mu / load
-            load += qbar * phi
-            frac += mu / load
-            v[r] += 1
-            heapq.heappush(recv_heap, (load, r))
-
-            tr = mu * m - mu * frac
-            if tr > best_tr:
-                best_tr = tr
-                best_u = u[:] + [counts[j] for j in receivers]
-                best_v = [0] * split + v[:]
-                best_split, best_b = split, b
-
-    prof_canon = _profile_from_aggregates(counts, best_u, best_v)
-    # Map back to the instance's original source order.
-    u_orig = [0] * m
-    v_orig = [0] * m
-    flow_orig = [[0] * m for _ in range(m)]
-    for a in range(m):
-        u_orig[perm[a]] = best_u[a]
-        v_orig[perm[a]] = best_v[a]
-        for bpos in range(m):
-            flow_orig[perm[a]][perm[bpos]] = prof_canon.flow[a][bpos]
-    profile = RoutingProfile(tuple(tuple(r) for r in flow_orig))
+    # Relabel to the instance's source order: inv[i] is source i's canonical slot.
+    inv = sorted(range(m), key=perm.__getitem__)
+    flow = _profile_from_aggregates(counts, best_u, best_v).flow
+    profile = RoutingProfile(tuple(tuple(flow[a][c] for c in inv) for a in inv))
     return OptimalSolution(
-        u=tuple(u_orig),
-        v=tuple(v_orig),
+        u=profile.u(),
+        v=profile.v(),
         profile=profile,
         tr=total_traffic(inst, profile),
         threshold=best_split,

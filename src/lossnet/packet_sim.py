@@ -217,6 +217,8 @@ def assess_outcome(
     Exposed separately from `validate_analytics` so negative controls can
     inject deliberately wrong rates.  Zero-sample assertions pass vacuously.
     """
+    if not tolerance_sigmas >= 0:
+        raise InvalidInputError(f"tolerance_sigmas must be non-negative, got {tolerance_sigmas!r}")
     checks: list[Check] = []
     for j in range(inst.m):
         lc = outcome.per_link[j]

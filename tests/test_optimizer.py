@@ -42,6 +42,33 @@ def test_q0_balances_loads():
         assert max(y) - min(y) <= 1
 
 
+@pytest.mark.parametrize(
+    "counts, mu, q, u, v, flow, threshold, b, tr",
+    [
+        # q = 0 ties across several donors and receivers: the lowest index wins.
+        ((6, 6, 1, 1, 1), 1.0, 0.0, (3, 3, 1, 1, 1), (0, 0, 2, 2, 2),
+         ((3, 0, 2, 1, 0), (0, 3, 0, 1, 2), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+          (0, 0, 0, 0, 1)), 2, 6, 3.75),
+        # Unsorted counts: the answer is relabelled to the instance's order.
+        ((2, 7, 7, 3, 1), 1.0, 0.0, (2, 4, 4, 3, 1), (2, 0, 0, 1, 3),
+         ((2, 0, 0, 0, 0), (2, 4, 0, 1, 0), (0, 0, 4, 0, 3), (0, 0, 0, 3, 0),
+          (0, 0, 0, 0, 1)), 2, 6, 4.0),
+        ((12, 2, 12, 2, 2), 1.0, 0.1, (6, 2, 6, 2, 2), (0, 4, 0, 4, 4),
+         ((6, 4, 0, 2, 0), (0, 2, 0, 0, 0), (0, 0, 6, 2, 4), (0, 0, 0, 2, 0),
+          (0, 0, 0, 0, 2)), 2, 12, 4.259740259740259),
+        # Heavy traffic.
+        ((10**6, 10**5), 10.0, 0.3, (520612, 100000), (0, 479388),
+         ((520612, 479388), (0, 100000)), 1, 479388, 19.999578343953555),
+    ],
+)
+def test_solve_optimal_frozen_output(counts, mu, q, u, v, flow, threshold, b, tr):
+    # Full output frozen, so any drift in tie order, relabelling or rounding shows.
+    sol = ln.solve_optimal(ln.Instance(counts, 1.0, mu, q))
+    assert (sol.u, sol.v, sol.profile.flow, sol.threshold, sol.b, sol.tr) == (
+        u, v, flow, threshold, b, tr
+    )
+
+
 def test_brute_force_single_source():
     inst = ln.Instance((5,), 2.0, 3.0, 0.7)
     sol = ln.brute_force_optimal(inst)

@@ -336,3 +336,20 @@ def test_cli_internal_check_exit_code(inst_file, prof_file, monkeypatch, capsys)
     )
     rc = cli.main(["check-ne", "--instance", inst_file, "--profile", prof_file, "--oracle"])
     assert rc == cli.EXIT_INTERNAL
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_cli_dynamics_rejects_nonpositive_max_rounds(inst_file, tmp_path, capsys, rounds):
+    start = write_json(tmp_path / "start.json", {"flow": [[3, 0], [0, 2]]})
+    rc = cli.main(["dynamics", "--instance", inst_file, "--start", start,
+                   "--max-rounds", rounds])
+    assert rc == cli.EXIT_INVALID
+    assert "max_rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigmas", ["-1", "nan"])
+def test_cli_simulate_rejects_bad_sigmas(inst_file, prof_file, capsys, sigmas):
+    rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
+                   "--horizon", "1000", "--validate", "--sigmas", sigmas])
+    assert rc == cli.EXIT_INVALID
+    assert "tolerance_sigmas" in capsys.readouterr().err
