@@ -174,6 +174,8 @@ def _cmd_simulate(args) -> int:
     inst = _load_instance(args.instance)
     prof = _load_profile(args.profile, inst)
     cfg = packet_sim.SimConfig(inst, prof, horizon=args.horizon, seed=args.seed)
+    if args.validate:
+        packet_sim.check_tolerance_sigmas(args.sigmas)
     outcome = packet_sim.simulate(cfg)
     out = packet_sim.outcome_to_json(outcome)
     if args.validate:

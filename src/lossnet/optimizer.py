@@ -116,16 +116,19 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
         # last entry is never among the first B pops.
         loads = np.full((len(receivers), big_b + 1), qbar * phi)
         loads[:, 0] = np.array(receivers) * phi + mu
-        r_load = np.cumsum(loads, axis=1).ravel()
+        r_load = np.cumsum(loads, axis=1, out=loads).ravel()
         r_pop = np.argsort(r_load, kind="stable")[:big_b]
         # Pop b changes the blocking sum by four terms, summed in this order
         # after the seed, so every tr matches applying the pops one by one.
         d_old = d_load[d_pop]
-        terms = np.stack([-(mu / (d_old * phi + mu)), mu / ((d_old - 1) * phi + mu),
-                          -(mu / r_load[r_pop]), mu / r_load[r_pop + 1]], axis=1)
-        seed = sum(mu / (c * phi + mu) for c in donors)
-        seed += sum(mu / (c * phi + mu) for c in receivers)
-        tr = mu * m - mu * np.cumsum(np.concatenate(([seed], terms.ravel())))[4::4]
+        acc = np.empty(4 * big_b + 1)
+        acc[0] = sum(mu / (c * phi + mu) for c in donors)
+        acc[0] += sum(mu / (c * phi + mu) for c in receivers)
+        acc[1::4] = -(mu / (d_old * phi + mu))
+        acc[2::4] = mu / ((d_old - 1) * phi + mu)
+        acc[3::4] = -(mu / r_load[r_pop])
+        acc[4::4] = mu / r_load[r_pop + 1]
+        tr = mu * m - mu * np.cumsum(acc, out=acc)[4::4]
         k = int(np.argmax(tr))
         if tr[k] > best_tr:
             took = np.bincount(r_pop[: k + 1] // (big_b + 1), minlength=len(receivers))

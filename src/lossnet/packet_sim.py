@@ -205,6 +205,12 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def check_tolerance_sigmas(tolerance_sigmas: float) -> None:
+    """Reject a negative or NaN sigma count, before any simulation runs."""
+    if not tolerance_sigmas >= 0:
+        raise InvalidInputError(f"tolerance_sigmas must be non-negative, got {tolerance_sigmas!r}")
+
+
 def assess_outcome(
     inst: Instance,
     prof: RoutingProfile,
@@ -217,8 +223,7 @@ def assess_outcome(
     Exposed separately from `validate_analytics` so negative controls can
     inject deliberately wrong rates.  Zero-sample assertions pass vacuously.
     """
-    if not tolerance_sigmas >= 0:
-        raise InvalidInputError(f"tolerance_sigmas must be non-negative, got {tolerance_sigmas!r}")
+    check_tolerance_sigmas(tolerance_sigmas)
     checks: list[Check] = []
     for j in range(inst.m):
         lc = outcome.per_link[j]
@@ -256,6 +261,7 @@ def validate_analytics(cfg: SimConfig, tolerance_sigmas: float = 3.0) -> Validat
     class: empirical loss fraction against the class loss probability.
     Failures are returned as data, never raised.
     """
+    check_tolerance_sigmas(tolerance_sigmas)
     outcome = simulate(cfg)
     rates = traffic_rates(cfg.instance, cfg.profile)
     return assess_outcome(cfg.instance, cfg.profile, outcome, rates, tolerance_sigmas)

@@ -20,7 +20,13 @@ all-direct state is the unique equilibrium (any relayed packet is lost with
 certainty, so rerouting to the direct path always strictly helps), and every
 mixed state, which relays at least one user, is not one.  `classify`,
 `scan_nash` and `construct_existence_ne` all evaluate the one region
-predicate `_is_ne`, on scalars or on the broadcast grid.
+predicate `_is_ne`, on scalars or on arrays.
+
+Because t1 and t2 are linear, region 2's equilibria in each row u1 form one
+interval of u2, so `scan_nash` never builds the (n1+1) x (n2+1) grid: it
+places each row's interval ends by inverting the thresholds and confirms
+them with `_is_ne`, in O(n1 + |NE|) memory, which reaches the paper's
+heavy-traffic sizes (1e6 users and more per source).
 
 Throughout, "source 1" means the source with the larger user count; instances
 given in the other order are relabeled internally and results are mapped back.
@@ -105,8 +111,8 @@ def t2(inst: Instance, u1: int) -> float:
 def _is_ne(canon: Instance, a1, a2):
     """The region conditions at (a1, a2) of a sorted instance.
 
-    Works alike on ints and on a column `a1` broadcast against a row `a2`;
-    the in-place updates keep at most four full grids alive at once.
+    Works alike on ints and on arrays that broadcast together: `scan_nash`
+    passes a vector of rows with one column, or two equal-length vectors.
     """
     n1, n2 = canon.user_counts
     if canon.q == 1.0:
@@ -155,19 +161,63 @@ def classify(inst: Instance, state: TwoSourceState) -> TwoSourceVerdict:
     return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])
 
 
+def _region2_rows(canon: Instance, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Region 2's equilibria [lo, hi] below u2 = n2 in each interior row a1.
+
+    Within a row, u1 >= t1(u2) - 1 holds on a down-set of u2 and
+    u2 >= t2(u1) - 1 on an up-set (`_threshold` is monotone in its last
+    argument, in float arithmetic too), so the equilibria form one interval;
+    rows with lo > hi have none.  Its ends are placed by solving both
+    conditions for u2, widened by one state each way (rounding moves them by
+    far less), and then moved inward until `_is_ne` holds at each end.
+    """
+    n1, n2 = canon.user_counts
+    qb = canon.qbar
+    lo = np.ceil(_threshold(canon, n2, n1, a1) - 1.0) - 1.0
+    lo = np.clip(lo, 0, n2).astype(np.int64)
+    # t1 rises by (1 + qb^2) / (2 qb) per unit of u2.
+    hi = (a1 + 1.0 - _threshold(canon, n1, n2, 0)) * (2.0 * qb) / (1.0 + qb * qb)
+    hi = np.clip(np.floor(hi) + 1.0, -1, n2 - 1).astype(np.int64)
+    for end, step in ((lo, 1), (hi, -1)):
+        rows = np.flatnonzero(lo <= hi)
+        while rows.size:
+            rows = rows[~_is_ne(canon, a1[rows], end[rows])]
+            end[rows] += step
+            rows = rows[lo[rows] <= hi[rows]]
+    return lo, hi
+
+
 def scan_nash(inst: Instance) -> list[TwoSourceState]:
     """All equilibrium states on the (u1, u2) grid, sorted by (u1, u2).
 
-    Vectorized over the whole grid; feasible up to user counts around 1e4.
-    At q = 1 only the all-direct corner can qualify, so only it is scanned.
+    Scans rows, not the grid: region 2 contributes one interval of u2 per
+    interior row u1 (`_region2_rows`), the column u2 = n2 (regions 3 and 4)
+    and the corner (0, 0) are evaluated directly, and the rest of the rows
+    u1 = 0 and u1 = n1 (regions 1a and 1b) never qualify.  Memory is
+    O(n1 + |NE|) for the larger count n1; time is that plus one stable sort
+    of the states.
     """
     _check_two_sources(inst)
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    lo = (n1, n2) if canon.q == 1.0 else (0, 0)
-    ne = _is_ne(canon, np.arange(lo[0], n1 + 1)[:, None], np.arange(lo[1], n2 + 1)[None, :])
-    states = (np.argwhere(ne) + lo)[:, list(perm)].tolist()
-    return [TwoSourceState(a, b) for a, b in sorted(states)]
+    corner = np.array([0] if _is_ne(canon, 0, 0) else [], dtype=np.int64)
+    column = np.flatnonzero(_is_ne(canon, np.arange(n1 + 1), n2))
+    rows = lo = hi = np.arange(0)
+    if canon.q < 1.0:  # at q = 1 no interior row qualifies (see `_is_ne`)
+        rows = np.arange(1, n1)
+        lo, hi = _region2_rows(canon, rows)
+    width = np.maximum(hi - lo + 1, 0)
+    # Corner, intervals row by row, then the column: a stable sort on the
+    # instance's first coordinate leaves ties in ascending order of the other.
+    a1 = np.concatenate((corner, np.repeat(rows, width), column))
+    a2 = np.concatenate((
+        corner,
+        np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
+        np.full(column.size, n2),
+    ))
+    states = np.stack((a1, a2), axis=1)[:, list(perm)]
+    states = states[np.argsort(states[:, 0], kind="stable")].tolist()
+    return [TwoSourceState(a, b) for a, b in states]
 
 
 def construct_existence_ne(inst: Instance) -> TwoSourceState:

@@ -130,3 +130,13 @@ def test_warmup_excluded_from_counters():
         rate = cfg.profile.flow[i][r] * cfg.instance.phi
         mean = rate * span
         assert abs(c.generated - mean) <= 5.0 * math.sqrt(mean)
+
+
+@pytest.mark.parametrize("sigmas", [-1.0, math.nan])
+def test_validate_analytics_rejects_bad_sigmas_before_simulating(monkeypatch, sigmas):
+    def no_simulation(cfg):
+        raise AssertionError("simulate ran before tolerance_sigmas was checked")
+
+    monkeypatch.setattr(ln.packet_sim, "simulate", no_simulation)
+    with pytest.raises(InvalidInputError):
+        ln.validate_analytics(small_cfg(horizon=1e9), sigmas)

@@ -353,3 +353,17 @@ def test_cli_simulate_rejects_bad_sigmas(inst_file, prof_file, capsys, sigmas):
                    "--horizon", "1000", "--validate", "--sigmas", sigmas])
     assert rc == cli.EXIT_INVALID
     assert "tolerance_sigmas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigmas", ["-1", "nan"])
+def test_cli_simulate_rejects_bad_sigmas_before_simulating(
+    inst_file, prof_file, capsys, monkeypatch, sigmas
+):
+    def no_simulation(cfg):
+        raise AssertionError("simulate ran before --sigmas was checked")
+
+    monkeypatch.setattr(cli.packet_sim, "simulate", no_simulation)
+    rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
+                   "--horizon", "1e9", "--validate", "--sigmas", sigmas])
+    assert rc == cli.EXIT_INVALID
+    assert "tolerance_sigmas" in capsys.readouterr().err

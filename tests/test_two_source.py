@@ -1,11 +1,14 @@
 import math
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import lossnet as ln
 from lossnet.errors import InvalidInputError, UndefinedThresholdError
-from lossnet.two_source import TwoSourceState, cross_check_state
+from lossnet.two_source import TwoSourceState, _is_ne, cross_check_state
 
 
 def rand_two_source(rng, n_max=15):
@@ -131,6 +134,93 @@ def test_scan_matches_classify_gridwise():
             if ln.classify(inst, TwoSourceState(u1, u2)).is_ne
         )
         assert [(s.u1, s.u2) for s in ln.scan_nash(inst)] == grid
+
+
+def grid_scan(inst):
+    """Reference scan: `_is_ne` broadcast over the whole (n1+1) x (n2+1) grid."""
+    canon, perm = inst.canonicalized()
+    n1, n2 = canon.user_counts
+    ne = _is_ne(canon, np.arange(n1 + 1)[:, None], np.arange(n2 + 1)[None, :])
+    states = np.argwhere(ne)[:, list(perm)].tolist()
+    return [TwoSourceState(a, b) for a, b in sorted(states)]
+
+
+def random_instances():
+    rng = random.Random(83)
+    for _ in range(300):
+        n1 = rng.randint(1, 60)
+        n2 = rng.randint(1, n1)
+        # q = 1e-15 moves the q = 0 ties by less than the tolerance.
+        q = rng.choice([0.0, 1e-15, 0.3, 0.7, 1.0 - 1e-13, rng.random()])
+        phi = rng.choice([1.0, rng.uniform(0.1, 3.0)])
+        mu = rng.choice([0.5, 1.0, 10.0, 300.0, rng.uniform(0.01, 50.0)])
+        yield ln.Instance((n1, n2), phi, mu, q)
+
+
+def exact_tie_instances():
+    # At q = 0 and an odd n1 - n2 every region-2 boundary falls on an
+    # integer, so each interval end is decided by the tolerance.
+    for n1 in range(1, 41):
+        for n2 in range(1, n1 + 1):
+            yield ln.Instance((n1, n2), 1.0, 1.0, 0.0)
+
+
+def figure_preset_instances():
+    for spec in ln.figure_presets().values():
+        for value in spec.grid:
+            inst = ln.sweeps.apply_axis(spec.base, spec.axis, value)
+            if inst.m == 2:
+                yield inst
+
+
+@pytest.mark.parametrize("instances", [
+    random_instances, exact_tie_instances, figure_preset_instances,
+])
+def test_scan_equals_grid_reference(instances):
+    for inst in instances():
+        n1, n2 = inst.user_counts
+        for counts in ((n1, n2), (n2, n1)):
+            ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
+            assert repr(ln.scan_nash(ordered)) == repr(grid_scan(ordered)), ordered
+
+
+@pytest.mark.parametrize("counts, mu, q", [
+    ((10**6, 10**5), 10.0, 0.3),
+    ((10**5, 10**6), 10.0, 0.3),
+    # q = 0 near-tie: every region-2 boundary is an integer, about 2500 states.
+    ((10**6, 1249), 1.0, 0.0),
+    ((1249, 10**6), 1.0, 0.0),
+])
+def test_scan_and_poa_at_heavy_traffic(counts, mu, q):
+    # A grid here would hold 1e8 to 1e11 cells; the row scan is O(n1).
+    inst = ln.Instance(counts, 1.0, mu, q)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        states = ln.scan_nash(inst)
+        scan_s = time.perf_counter() - start
+        scan_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = time.perf_counter()
+        report = ln.poa_report(inst)
+        poa_s = time.perf_counter() - start
+        poa_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan_s < 1.0 and scan_peak < 64e6
+    # poa_report adds solve_optimal, which holds O(n1) floats itself.
+    assert poa_s < 2.0 and poa_peak < 160e6
+    assert states == sorted(states, key=lambda s: (s.u1, s.u2))
+    assert report.ne_count == len(states)
+    assert report.tr_worst_ne == min(ln.total_traffic(inst, s.expand(inst)) for s in states)
+    found = {(s.u1, s.u2) for s in states}
+    n1, n2 = counts
+    for u1, u2 in found:
+        assert ln.classify(inst, TwoSourceState(u1, u2)).is_ne
+        # One step past the end of each interval, along either axis.
+        for v1, v2 in ((u1 - 1, u2), (u1 + 1, u2), (u1, u2 - 1), (u1, u2 + 1)):
+            if 0 <= v1 <= n1 and 0 <= v2 <= n2 and (v1, v2) not in found:
+                assert not ln.classify(inst, TwoSourceState(v1, v2)).is_ne, (v1, v2)
 
 
 def test_swap_everything_at_q0_with_near_equal_counts():
