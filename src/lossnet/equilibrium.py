@@ -19,7 +19,8 @@ the shared tolerance to disqualify a profile.
 `_conditions` is the only copy of (i) and (ii), over a block of profiles:
 `enumerate_nash` runs it on the blocks of `model.profile_blocks`,
 `is_nash_characterization` on a block of one.  The oracle and the
-best-response dynamics stay scalar and independent of it.
+best-response dynamics stay scalar and independent of it; they share one
+move scan, `_moves`, and each keeps its own comparison.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .model import (
     Instance,
     RoutingProfile,
     TrafficSummary,
+    delivered,
+    link_rates,
     loss_rate,
     profile_blocks,
     summarize,
-    total_traffic,
 )
 from .optimizer import opt_traffic_upper_bound, solve_optimal
 
@@ -114,6 +116,12 @@ def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     return NEVerdict(not viols, int(i_star[0]), viols)
 
 
+def _moves(inst: Instance, prof: RoutingProfile, i: int, r: int) -> tuple[float, list]:
+    """Loss rate of a class-(i, r) user, and (r2, its rate once moved to r2) per r2 != r."""
+    alts = [(r2, loss_rate(inst, prof.move(i, r, r2), i, r2)) for r2 in range(inst.m) if r2 != r]
+    return loss_rate(inst, prof, i, r), alts
+
+
 def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     """Equilibrium verdict by trying every unilateral one-user move."""
     prof.validate_for(inst)
@@ -124,11 +132,8 @@ def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
         for r in range(inst.m):
             if prof.flow[i][r] < 1:
                 continue
-            current = loss_rate(inst, prof, i, r)
-            for r2 in range(inst.m):
-                if r2 == r:
-                    continue
-                alt = loss_rate(inst, prof.move(i, r, r2), i, r2)
+            current, moves = _moves(inst, prof, i, r)
+            for r2, alt in moves:
                 if current > alt + TOLERANCE:
                     if r == i:
                         kind, relay = "condition-(i)", r2
@@ -180,23 +185,15 @@ def best_response_dynamics(
     prof = start
     seen = {prof.flow}
     for rounds in range(1, max_rounds + 1):
-        occupied = [
-            (i, r)
-            for i in range(inst.m)
-            for r in range(inst.m)
-            if prof.flow[i][r] >= 1
-        ]
+        occupied = [(i, r) for i in range(inst.m) for r in range(inst.m) if prof.flow[i][r] >= 1]
         rng.shuffle(occupied)
         moved = False
         for i, r in occupied:
             if prof.flow[i][r] < 1:
                 continue
-            current = loss_rate(inst, prof, i, r)
+            current, moves = _moves(inst, prof, i, r)
             best_alt, best_rate = None, None
-            for r2 in range(inst.m):
-                if r2 == r:
-                    continue
-                alt = loss_rate(inst, prof.move(i, r, r2), i, r2)
+            for r2, alt in moves:
                 if best_rate is None or alt < best_rate - TOLERANCE:
                     best_alt, best_rate = r2, alt
             if best_alt is not None and current - best_rate > TOLERANCE:
@@ -266,13 +263,13 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
     if inst.m == 2:
         from .two_source import scan_nash  # local import avoids a module cycle
 
-        states = scan_nash(inst)
-        trs = [total_traffic(inst, s.expand(inst)) for s in states]
-        ne_count = len(states)
+        n1, n2 = inst.user_counts
+        trs = [
+            delivered(inst, link_rates(inst, ((s.u1, n1 - s.u1), (n2 - s.u2, s.u2))))
+            for s in scan_nash(inst)
+        ]
     else:
-        nes = enumerate_nash(inst, cap=cap)
-        trs = [summary.total_traffic for _, summary in nes]
-        ne_count = len(nes)
+        trs = [summary.total_traffic for _, summary in enumerate_nash(inst, cap=cap)]
     tr_worst = min(trs) if trs else None
     poa_exact = tr_opt / tr_worst if tr_worst else None
     return PoAReport(
@@ -281,5 +278,5 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
         poa_exact=poa_exact,
         z=mixing_level(inst),
         poa_bound=poa_bound(inst),
-        ne_count=ne_count,
+        ne_count=len(trs),
     )

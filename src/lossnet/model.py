@@ -22,8 +22,10 @@ single user is
     direct path:          phi * T_i / (T_i + mu)
     indirect via relay j: phi * (q + (1 - q) * T_j / (T_j + mu)).
 
-`profile_blocks` is the one profile enumerator and the one place the
-profile-count cap is enforced; every exhaustive search walks its blocks.
+`link_rates` and `delivered` are the one home of T_i and of the delivered
+sum, on ints or on arrays of profiles alike.  `profile_blocks` is the one
+profile enumerator and the one place the profile-count cap is enforced;
+every exhaustive search walks its blocks.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -95,13 +97,9 @@ class Instance:
         # Always derived at the use site, never stored, so it cannot drift.
         return 1.0 - self.q
 
-    def canonical_order(self) -> tuple[int, ...]:
-        """Source indices sorted by non-increasing user count (ties by index)."""
-        return tuple(sorted(range(self.m), key=lambda i: (-self.user_counts[i], i)))
-
     def canonicalized(self) -> tuple["Instance", tuple[int, ...]]:
-        """Return (sorted instance, perm) with perm[k] = original index at slot k."""
-        perm = self.canonical_order()
+        """Return (instance sorted by non-increasing count, perm); perm[k] = slot k's source."""
+        perm = tuple(sorted(range(self.m), key=lambda i: (-self.user_counts[i], i)))
         inst = Instance(tuple(self.user_counts[i] for i in perm), self.phi, self.mu, self.q)
         return inst, perm
 
@@ -206,24 +204,40 @@ def _check_index(idx: int, m: int, name: str) -> None:
         raise InvalidInputError(f"{name} must be a source index in [0, {m}), got {idx!r}")
 
 
+def link_rates(inst: Instance, flow) -> list:
+    """Offered rate T_j on each direct link; ``flow[i][j]`` is an int or an array.
+
+    Arrays of counts must share one shape; each element gets its int version's bits.
+    """
+    qbar, phi, m = inst.qbar, inst.phi, len(flow)
+    rates = []
+    for j in range(m):
+        t = flow[j][j] * 1.0 * phi
+        for i in range(m):
+            if i != j:
+                t = t + flow[i][j] * qbar * phi
+        rates.append(t)
+    return rates
+
+
+def delivered(inst: Instance, rates) -> float:
+    """Delivered rate sum_j T_j * mu / (T_j + mu), added left to right on floats or arrays.
+
+    Not `sum`, which compensates floats from Python 3.12 on, nor `np.sum`, which pairs terms.
+    """
+    mu, total = inst.mu, 0.0
+    for t in rates:
+        total = total + t * mu / (t + mu)
+    return total
+
+
 def traffic_rates(inst: Instance, prof: RoutingProfile) -> tuple[float, ...]:
     """Offered Poisson rate T_i on each direct link under the profile."""
     prof.validate_for(inst)
-    qbar, phi = inst.qbar, inst.phi
-    m = inst.m
-    rates = []
-    for j in range(m):
-        t = float(prof.flow[j][j]) * phi
-        for i in range(m):
-            if i != j:
-                t += prof.flow[i][j] * qbar * phi
-        rates.append(t)
-    return tuple(rates)
+    return tuple(link_rates(inst, prof.flow))
 
 
-def loss_rate(
-    inst: Instance, prof: RoutingProfile, origin: int, relay: int
-) -> float:
+def loss_rate(inst: Instance, prof: RoutingProfile, origin: int, relay: int) -> float:
     """Loss rate of a user of source `origin` routing via `relay`.
 
     The class need not be occupied; rates are those induced by `prof`.
@@ -246,14 +260,9 @@ def class_loss(
     return phi * (inst.q + inst.qbar * t[relay] / (t[relay] + inst.mu))
 
 
-def delivered_rate(t: float, mu: float) -> float:
-    """Successfully transmitted rate t * mu / (t + mu) on one direct link."""
-    return t * mu / (t + mu)
-
-
 def total_traffic(inst: Instance, prof: RoutingProfile) -> float:
     """Total delivered rate at the destination: sum_i T_i * mu / (T_i + mu)."""
-    return sum(delivered_rate(t, inst.mu) for t in traffic_rates(inst, prof))
+    return delivered(inst, traffic_rates(inst, prof))
 
 
 def summarize(inst: Instance, prof: RoutingProfile) -> TrafficSummary:
@@ -265,7 +274,7 @@ def summarize(inst: Instance, prof: RoutingProfile) -> TrafficSummary:
         class_loss_rate={
             (i, j): class_loss(inst, t, i, j, inst.phi) for i in range(m) for j in range(m)
         },
-        total_traffic=sum(delivered_rate(ti, mu) for ti in t),
+        total_traffic=delivered(inst, t),
     )
 
 
@@ -394,10 +403,7 @@ def instance_from_json(obj: dict) -> Instance:
     phi = _as_number(_require(obj, "phi"), "phi")
     mu = _as_number(_require(obj, "mu"), "mu")
     q = _as_number(_require(obj, "q"), "q")
-    try:
-        return Instance(tuple(n), phi, mu, q)
-    except InvalidInputError as exc:
-        raise InvalidInputError(str(exc)) from None
+    return Instance(tuple(n), phi, mu, q)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -420,10 +426,7 @@ def profile_from_json(obj: dict) -> RoutingProfile:
         for j, c in enumerate(row):
             if isinstance(c, bool) or not isinstance(c, int):
                 raise InvalidInputError(f"field 'flow[{i}][{j}]' must be an integer, got {c!r}")
-    try:
-        return RoutingProfile(tuple(tuple(row) for row in flow))
-    except InvalidInputError as exc:
-        raise InvalidInputError(str(exc)) from None
+    return RoutingProfile(tuple(tuple(row) for row in flow))
 
 
 def profile_to_json(prof: RoutingProfile) -> dict:

@@ -13,9 +13,12 @@ exact greedy minimizers of the convex per-link blocking sum; for a fixed
 split each pops users in one fixed sorted order, so every B is read off one
 cumulative sum.
 
+The solver keeps that blocking-sum form, not `model.delivered`, on purpose:
+its all-direct seed and its cumsum must round alike.
+
 `brute_force_optimal` evaluates every routing profile, block by block from
-`model.profile_blocks`, and is the ground truth the solver is validated
-against on small instances.
+`model.profile_blocks`, with `model`'s traffic formula, and is the ground
+truth the solver is validated against on small instances.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError
-from .model import Instance, RoutingProfile, profile_blocks, total_traffic
+from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks, total_traffic
 
 #: Relative window within which two total-traffic values count as tied.
 _TIE_REL = 1e-12
@@ -195,14 +198,9 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
     users, then the earliest in lexicographic enumeration order; that pick
     always satisfies the structural rules even when q = 0 makes ties abound.
     """
-    m, phi, mu, qbar = inst.m, inst.phi, inst.mu, inst.qbar
-    weights = np.full((m, m), qbar * phi)
-    np.fill_diagonal(weights, phi)  # offered load per user, by (origin, link)
-
     best_tr, best_sum_u, best_flow = -1.0, -1, None
     for blk in profile_blocks(inst, cap):
-        t = (blk * weights).sum(axis=1)  # offered load per link
-        tr = (t * mu / (t + mu)).sum(axis=1)
+        tr = delivered(inst, link_rates(inst, blk.transpose(1, 2, 0)))
         sum_u = np.trace(blk, axis1=1, axis2=2)
         blk_best = float(tr.max())
         tie_mask = np.abs(tr - blk_best) <= _TIE_REL * max(1.0, blk_best)

@@ -52,6 +52,8 @@ class SimConfig:
         self.profile.validate_for(self.instance)
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise InvalidInputError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not math.isfinite(self.horizon * self.instance.n * self.instance.phi):
+            raise InvalidInputError(f"horizon {self.horizon!r} overflows the packet count")
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 

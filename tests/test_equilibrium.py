@@ -192,6 +192,19 @@ def test_poa_frozen_2_2():
     assert rep.poa_exact >= 1.0
 
 
+def test_two_source_worst_ne_is_the_exact_minimum_over_the_scan():
+    # The per-state int evaluation gives total_traffic's bits, q = 0 ties included.
+    rng = random.Random(5)
+    for _ in range(150):
+        inst = random_instance(
+            rng, m_choices=(2,), n_max=60, mu_choices=(0.5, 1.0, 3.0, 30.0),
+            q_choices=(0.0, 0.0, 0.3, rng.random()), phi=rng.choice((0.37, 1.0, 2.9)),
+        )
+        states = ln.scan_nash(inst)
+        worst = min((ln.total_traffic(inst, s.expand(inst)) for s in states), default=None)
+        assert ln.poa_report(inst).tr_worst_ne == worst
+
+
 def test_poa_empty_equilibrium_set_is_reported_not_raised():
     # No guarantee an equilibrium exists for m >= 3; fabricate a check that
     # the report path tolerates ne_count = 0 by raising the cap high enough

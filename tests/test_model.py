@@ -1,10 +1,12 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 import lossnet as ln
 from lossnet.errors import CapacityError, InvalidInputError
+from lossnet.model import delivered, link_rates
 
 from conftest import random_instance, random_profile
 
@@ -91,6 +93,24 @@ def test_link_and_user_accounting_agree():
                 if prof.flow[i][r]:
                     by_users += prof.flow[i][r] * (inst.phi - ln.loss_rate(inst, prof, i, r))
         assert by_users == pytest.approx(by_links, rel=1e-9, abs=1e-12)
+
+
+def test_link_rates_on_stacked_profiles_match_scalar_bits():
+    # One formula on ints and on a (m, m, k) array: equal with ==, not approx.
+    rng = random.Random(21)
+    for _ in range(60):
+        inst = random_instance(
+            rng, m_choices=(1, 2, 3, 4, 5), n_max=40, mu_choices=(0.3, 1.0, 7.0),
+            q_choices=(0.0, 0.3, rng.random()), phi=rng.choice((0.37, 1.3, 2.9)),
+        )
+        profs = [random_profile(rng, inst) for _ in range(rng.randint(1, 12))]
+        flow = np.array([p.flow for p in profs], dtype=np.int64).transpose(1, 2, 0)
+        rates = link_rates(inst, flow)
+        tr = delivered(inst, rates)
+        for k, prof in enumerate(profs):
+            assert tuple(float(t[k]) for t in rates) == ln.traffic_rates(inst, prof)
+            assert float(tr[k]) == ln.total_traffic(inst, prof)
+            assert delivered(inst, link_rates(inst, prof.flow)) == ln.total_traffic(inst, prof)
 
 
 def test_summarize_consistency():

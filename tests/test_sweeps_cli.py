@@ -347,6 +347,17 @@ def test_cli_dynamics_rejects_nonpositive_max_rounds(inst_file, tmp_path, capsys
     assert "max_rounds" in capsys.readouterr().err
 
 
+def test_horizon_overflowing_the_packet_count_is_invalid_input(inst_file, prof_file, capsys):
+    # 1e308 time units at 5 packets per unit is no finite packet count.
+    rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
+                   "--horizon", "1e308"])
+    assert rc == cli.EXIT_INVALID
+    assert "horizon" in capsys.readouterr().err
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
+    with pytest.raises(InvalidInputError, match="horizon"):
+        ln.SimConfig(inst, ln.RoutingProfile.all_direct(inst), 1e308, 0)
+
+
 @pytest.mark.parametrize("sigmas", ["-1", "nan"])
 def test_cli_simulate_rejects_bad_sigmas(inst_file, prof_file, capsys, sigmas):
     rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
