@@ -67,15 +67,16 @@ def _cmd_solve_opt(args) -> int:
     sol = optimizer.solve_optimal(inst)
     out = _solution_json(sol)
     if args.oracle:
-        if model.count_profiles(inst) <= args.oracle_cap:
+        try:
             ref = optimizer.brute_force_optimal(inst, cap=args.oracle_cap)
+        except CapacityError:
+            out["oracle_tr"] = None  # profile space above --oracle-cap
+        else:
             out["oracle_tr"] = ref.tr
             if abs(ref.tr - sol.tr) > _TR_MATCH_TOL * max(1.0, abs(ref.tr)):
                 raise InternalCheckError(
                     f"solver tr={sol.tr!r} disagrees with exhaustive oracle tr={ref.tr!r}"
                 )
-        else:
-            out["oracle_tr"] = None  # profile space above --oracle-cap
     _emit(out)
     return EXIT_OK
 

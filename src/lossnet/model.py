@@ -220,10 +220,21 @@ def link_rates(inst: Instance, flow) -> list:
     return rates
 
 
+def sum_left(terms) -> float:
+    """The terms added left to right from 0.0.
+
+    Not `sum`, which compensates floats from Python 3.12 on, nor `np.sum`, which pairs terms.
+    """
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def delivered(inst: Instance, rates) -> float:
     """Delivered rate sum_j T_j * mu / (T_j + mu), added left to right on floats or arrays.
 
-    Not `sum`, which compensates floats from Python 3.12 on, nor `np.sum`, which pairs terms.
+    The loop of `sum_left`, written out: a generator would double a scalar call's time.
     """
     mu, total = inst.mu, 0.0
     for t in rates:
@@ -304,13 +315,15 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     """Every valid profile as (k, m, m) int64 flow blocks, k <= BLOCK.
 
     Profiles come in `iter_profiles` order.  CapacityError (more profiles
-    than `cap`) and InvalidInputError (too many users for int64) are raised
-    here, before any block is built.  The leading rows are walked one
-    composition at a time and the last row is vectorized: heads are stacked
-    while it is short, and it is cut into chunks when longer than BLOCK.
+    than `cap`) and InvalidInputError (a negative `cap`, or too many users for
+    int64) are raised here, before any block is built.  The leading rows are
+    walked one composition at a time and the last row is vectorized: heads are
+    stacked while it is short, and it is cut into chunks when longer than BLOCK.
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
+    if cap is not None and cap < 0:
+        raise InvalidInputError(f"enumeration cap must be non-negative, got {cap}")
     total = count_profiles(inst)
     if cap is not None and total > cap:
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")

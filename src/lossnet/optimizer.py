@@ -1,15 +1,25 @@
 """Traffic-maximizing routing: threshold/balancing search plus an exhaustive oracle.
 
-Two structural facts drive the fast solver.  In every maximizer of the total
-delivered rate, (1) a source that relays traffic for others keeps all of its
-own users on the direct path, and (2) sorting sources by non-increasing user
-count, there is a split position: sources before it receive no relayed
-traffic, sources after it keep all their own users direct.  The solver
-therefore scans every split position and every total number of relayed users
-B, extracts the B users from the donor prefix so the donors' direct loads stay
-as equal as possible, and spreads them over the receiver suffix so the
-receivers' offered loads stay as equal as possible.  Both balancing rules are
-exact greedy minimizers of the convex per-link blocking sum; for a fixed
+A donor routes some of its own users away (u_i < n_i), a receiver's link
+carries relayed users (v_i > 0).  In every maximizer of the total delivered
+rate no source is both, and a split separates the donors from the receivers in
+non-increasing user-count order.
+
+Split rule: a 1-based split s is realizable for (u, v) iff some non-increasing
+order of the counts, ties ordered freely, puts every donor at a position <= s
+and every receiver after s.  Each tie ordered donors first and receivers last
+leaves the most room, so these splits run from the last donor's position to the
+first receiver's (`_splits`).
+
+Flow rule: lay the donors' spare users on one line in index order, and the
+receivers' relayed users likewise; donor i sends receiver j the users where
+their two intervals overlap (`_flow`).
+
+The solver scans every split position and every total number of relayed
+users B, extracts the B users from the donor prefix so the donors' direct
+loads stay as equal as possible, and spreads them over the receiver suffix so
+the receivers' offered loads stay as equal as possible.  Both balancing rules
+are exact greedy minimizers of the convex per-link blocking sum; for a fixed
 split each pops users in one fixed sorted order, so every B is read off one
 cumulative sum.
 
@@ -24,11 +34,13 @@ truth the solver is validated against on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks, total_traffic
+from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks
+from .model import sum_left, total_traffic
 
 #: Relative window within which two total-traffic values count as tied.
 _TIE_REL = 1e-12
@@ -40,9 +52,10 @@ class OptimalSolution:
 
     u/v are per-source direct and relayed-in counts in the instance's own
     index order; `profile` is a concrete flow matrix realizing them.
-    `threshold` is the 1-based split position in non-increasing user-count
-    order (sources at positions <= threshold receive nothing; positions
-    beyond it keep all own users direct); `b` is the number of relayed users.
+    `threshold` is a 1-based split realizing (u, v) by the module's split
+    rule: the one where `solve_optimal` found the optimum (m for all-direct),
+    the smallest one for `brute_force_optimal` (both return all-direct on
+    (3, 2) at q = 1, with thresholds 2 and 1); `b` counts relayed users.
     """
 
     u: tuple[int, ...]
@@ -60,29 +73,27 @@ class StructureViolation:
     detail: str
 
 
-def _profile_from_aggregates(
-    counts: tuple[int, ...], u: list[int], v: list[int]
-) -> RoutingProfile:
-    """Any flow matrix consistent with (u, v): donors fill receivers in index order."""
-    m = len(counts)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = u[i]
-    need = v[:]
-    for i in range(m):
-        spare = counts[i] - u[i]
-        for j in range(m):
-            if spare == 0:
-                break
-            if j == i or need[j] == 0:
-                continue
-            take = min(spare, need[j])
-            rows[i][j] += take
-            spare -= take
-            need[j] -= take
-    if any(need):
+def _splits(counts, u, v) -> range:
+    """The realizable split positions of (u, v) by the split rule; empty if none."""
+    order = sorted(range(len(counts)), key=lambda i: (-counts[i], v[i] > 0, u[i] >= counts[i]))
+    lo = max((p + 1 for p, i in enumerate(order) if u[i] < counts[i]), default=1)
+    hi = next((p for p, i in enumerate(order) if v[i] > 0), len(counts))
+    return range(lo, hi + 1)
+
+
+def _flow(counts, u, v) -> list[list[int]]:
+    """The flow matrix of (u, v) by the flow rule; raises on unequal sums or a both-role source."""
+    spare = [n - d for n, d in zip(counts, u)]
+    if sum(spare) != sum(v) or any(s > 0 and r > 0 for s, r in zip(spare, v)):
         raise InternalCheckError(f"aggregates not realizable: u={u} v={v} counts={counts}")
-    return RoutingProfile(tuple(tuple(r) for r in rows))
+    rows = [
+        [max(0, min(d_end, r_end) - max(d_end - d_len, r_end - r_len))
+         for r_end, r_len in zip(accumulate(v), v)]
+        for d_end, d_len in zip(accumulate(spare), spare)
+    ]
+    for i, row in enumerate(rows):
+        row[i] = u[i]
+    return rows
 
 
 def solve_optimal(inst: Instance) -> OptimalSolution:
@@ -104,7 +115,7 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     # Seed with the all-direct profile; the loop below never evaluates B = 0.
     best_u = list(counts)
     best_v = [0] * m
-    best_tr = mu * m - mu * sum(mu / (c * phi + mu) for c in counts)
+    best_tr = mu * m - mu * sum_left(mu / (c * phi + mu) for c in counts)
     best_split, best_b = m, 0
 
     # split == m leaves no receivers: only the all-direct case, already seeded.
@@ -125,8 +136,8 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
         # after the seed, so every tr matches applying the pops one by one.
         d_old = d_load[d_pop]
         acc = np.empty(4 * big_b + 1)
-        acc[0] = sum(mu / (c * phi + mu) for c in donors)
-        acc[0] += sum(mu / (c * phi + mu) for c in receivers)
+        acc[0] = sum_left(mu / (c * phi + mu) for c in donors)
+        acc[0] += sum_left(mu / (c * phi + mu) for c in receivers)
         acc[1::4] = -(mu / (d_old * phi + mu))
         acc[2::4] = mu / ((d_old - 1) * phi + mu)
         acc[3::4] = -(mu / r_load[r_pop])
@@ -142,7 +153,7 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
 
     # Relabel to the instance's source order: inv[i] is source i's canonical slot.
     inv = sorted(range(m), key=perm.__getitem__)
-    flow = _profile_from_aggregates(counts, best_u, best_v).flow
+    flow = _flow(counts, best_u, best_v)
     profile = RoutingProfile(tuple(tuple(flow[a][c] for c in inv) for a in inv))
     return OptimalSolution(
         u=profile.u(),
@@ -152,43 +163,6 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
         threshold=best_split,
         b=best_b,
     )
-
-
-def _split_feasible(counts, u, v, split: int) -> bool:
-    """True iff some non-increasing ordering of user counts realizes `split`.
-
-    Donors (u_i < n_i) must sit in the first `split` positions, receivers
-    (v_i > 0) after them; sources tied on count may be ordered freely.
-    Putting the largest neutrals in the prefix is optimal, so checking that
-    one construction decides feasibility.
-    """
-    m = len(counts)
-    donors = [i for i in range(m) if u[i] < counts[i]]
-    receivers = [i for i in range(m) if v[i] > 0]
-    if set(donors) & set(receivers):
-        return False
-    if len(donors) > split or len(receivers) > m - split:
-        return False
-    neutrals = sorted(
-        (i for i in range(m) if i not in donors and i not in receivers),
-        key=lambda i: -counts[i],
-    )
-    prefix = donors + neutrals[: split - len(donors)]
-    suffix = receivers + neutrals[split - len(donors):]
-    if len(prefix) != split:
-        return False
-    lo = min(counts[i] for i in prefix)
-    hi = max((counts[i] for i in suffix), default=0)
-    return lo >= hi
-
-
-def _derive_threshold(counts, u, v) -> int | None:
-    """Smallest valid split position for (u, v), or None if none exists."""
-    m = len(counts)
-    for split in range(1, m + 1):
-        if _split_feasible(counts, u, v, split):
-            return split
-    return None
 
 
 def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolution:
@@ -212,10 +186,9 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
             best_tr, best_sum_u, best_flow = max(cand_tr, best_tr), cand_sum, blk[idx].tolist()
 
     profile = RoutingProfile(best_flow)
-    u = profile.u()
-    v = profile.v()
-    split = _derive_threshold(inst.user_counts, u, v)
-    if split is None:
+    u, v = profile.u(), profile.v()
+    splits = _splits(inst.user_counts, u, v)
+    if not splits:
         raise InternalCheckError(
             f"brute-force maximizer violates the split structure: flow={best_flow}"
         )
@@ -224,7 +197,7 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
         v=v,
         profile=profile,
         tr=total_traffic(inst, profile),
-        threshold=split,
+        threshold=splits[0],
         b=sum(v),
     )
 
@@ -233,8 +206,8 @@ def check_optimal_structure(sol: OptimalSolution) -> list[StructureViolation]:
     """Violations of the structural rules every maximizer must satisfy.
 
     Empty list iff: stored u/v/b agree with the profile; every source has
-    u_i = n_i or v_i = 0; and the stored split position is realizable under
-    some non-increasing user-count ordering (ties reorderable).
+    u_i = n_i or v_i = 0; and the stored split position is realizable by
+    the module's split rule.
     """
     viols: list[StructureViolation] = []
     prof = sol.profile
@@ -268,11 +241,8 @@ def check_optimal_structure(sol: OptimalSolution) -> list[StructureViolation]:
         viols.append(
             StructureViolation("threshold-split", -1, f"split {sol.threshold} outside [1, {m}]")
         )
-    elif not _split_feasible(counts, sol.u, sol.v, sol.threshold):
-        bad = next(
-            (i for i in range(m) if sol.u[i] < counts[i] and sol.v[i] > 0),
-            -1,
-        )
+    elif sol.threshold not in _splits(counts, sol.u, sol.v):
+        bad = next((i for i in range(m) if sol.u[i] < counts[i] and sol.v[i] > 0), -1)
         viols.append(
             StructureViolation(
                 "threshold-split", bad,

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Instance, RoutingProfile, class_loss, traffic_rates
+from .model import Instance, RoutingProfile, class_loss, sum_left, traffic_rates
 
 WARMUP_FRACTION = 0.01
 #: Expected packets per arrival window, over all classes.
@@ -147,7 +147,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     link_rngs = [np.random.default_rng(children[2 * nc + j]) for j in range(m)]
 
     rates = [prof.flow[i][r] * inst.phi for i, r in classes]
-    windows = math.ceil(cfg.horizon * sum(rates) / WINDOW)
+    windows = math.ceil(cfg.horizon * sum_left(rates) / WINDOW)
     generated, side_lost = [0] * nc, [0] * nc
     offered = np.zeros(nc, dtype=np.int64)
     delivered = np.zeros(nc, dtype=np.int64)

@@ -1,10 +1,12 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 import lossnet as ln
-from lossnet.errors import CapacityError
-from lossnet.optimizer import OptimalSolution
+from lossnet.errors import CapacityError, InternalCheckError
+from lossnet.optimizer import OptimalSolution, _flow, _splits
 
 from conftest import random_instance
 
@@ -171,3 +173,68 @@ def test_threshold_within_range_and_profile_consistent():
         assert sol.profile.u() == sol.u
         assert sol.profile.v() == sol.v
         assert sol.b == sum(sol.v) == inst.n - sum(sol.u)
+
+
+@functools.cache
+def _splits_by_definition(counts, donors, receivers):
+    """The splits s, ascending, that some non-increasing order of `counts`
+    realizes: every donor at a 0-based position < s, every receiver at >= s."""
+    m = len(counts)
+    found = set()
+    for order in itertools.permutations(range(m)):
+        if any(counts[a] < counts[b] for a, b in zip(order, order[1:])):
+            continue
+        pos = {i: p for p, i in enumerate(order)}
+        for s in range(1, m + 1):
+            if all(pos[i] < s for i in donors) and all(pos[i] >= s for i in receivers):
+                found.add(s)
+    return tuple(sorted(found))
+
+
+def _donors(counts, u):
+    return frozenset(i for i, (n, d) in enumerate(zip(counts, u)) if d < n)
+
+
+def _receivers(v):
+    return frozenset(i for i, r in enumerate(v) if r > 0)
+
+
+def test_splits_match_their_definition_exhaustively():
+    # Every counts tuple with m <= 4 and counts <= 3, every u, every v <= 2.
+    for m in range(1, 5):
+        for counts in itertools.product(range(1, 4), repeat=m):
+            for u in itertools.product(*(range(n + 1) for n in counts)):
+                donors = _donors(counts, u)
+                for v in itertools.product(range(3), repeat=m):
+                    want = _splits_by_definition(counts, donors, _receivers(v))
+                    assert tuple(_splits(counts, u, v)) == want, (counts, u, v)
+
+
+def test_brute_force_threshold_is_the_smallest_realizable_split():
+    rng = random.Random(31)
+    for _ in range(60):
+        inst = random_instance(rng, m_choices=(1, 2, 3), n_max=4)
+        sol = ln.brute_force_optimal(inst)
+        counts = inst.user_counts
+        want = _splits_by_definition(counts, _donors(counts, sol.u), _receivers(sol.v))
+        assert sol.threshold == want[0], inst
+
+
+def test_flow_lays_donors_over_receivers_in_index_order():
+    assert _flow((6, 6, 1, 1, 1), (3, 3, 1, 1, 1), (0, 0, 2, 2, 2)) == [
+        [3, 0, 2, 1, 0], [0, 3, 0, 1, 2], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "counts, u, v",
+    [
+        ((2, 2), (1, 2), (0, 2)),  # one spare user, two relayed in
+        ((3, 1), (3, 1), (0, 1)),  # a relayed user that nobody gave up
+        ((3, 1), (1, 1), (0, 1)),  # a spare user that nobody takes
+        ((2, 2), (1, 1), (1, 1)),  # each source both a donor and a receiver
+    ],
+)
+def test_flow_rejects_unrealizable_aggregates(counts, u, v):
+    with pytest.raises(InternalCheckError, match="not realizable"):
+        _flow(counts, u, v)

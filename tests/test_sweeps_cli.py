@@ -378,3 +378,15 @@ def test_cli_simulate_rejects_bad_sigmas_before_simulating(
                    "--horizon", "1e9", "--validate", "--sigmas", sigmas])
     assert rc == cli.EXIT_INVALID
     assert "tolerance_sigmas" in capsys.readouterr().err
+
+
+def test_cli_enumerate_ne_rejects_negative_cap(inst_file, capsys):
+    rc = cli.main(["enumerate-ne", "--instance", inst_file, "--cap", "-5"])
+    assert rc == cli.EXIT_INVALID
+    assert "cap must be non-negative" in capsys.readouterr().err
+
+
+def test_cli_solve_opt_rejects_negative_oracle_cap(inst_file, capsys):
+    rc = cli.main(["solve-opt", "--instance", inst_file, "--oracle", "--oracle-cap", "-1"])
+    assert rc == cli.EXIT_INVALID
+    assert "cap must be non-negative" in capsys.readouterr().err
