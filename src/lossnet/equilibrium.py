@@ -36,6 +36,7 @@ from .model import (
     Instance,
     RoutingProfile,
     TrafficSummary,
+    check_cap,
     delivered,
     link_rates,
     loss_rate,
@@ -43,6 +44,7 @@ from .model import (
     summarize,
 )
 from .optimizer import opt_traffic_upper_bound, solve_optimal
+from .two_source import scan_nash
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,12 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
 
     Two-source instances use the closed-form aggregate scan; otherwise the
     equilibrium set is enumerated exhaustively (subject to `cap`).  An empty
-    equilibrium set is reported, not raised.
+    equilibrium set is reported, not raised.  A negative `cap` is rejected
+    before any work, even where no profile is enumerated.
     """
+    check_cap(cap)
     tr_opt = solve_optimal(inst).tr
     if inst.m == 2:
-        from .two_source import scan_nash  # local import avoids a module cycle
-
         n1, n2 = inst.user_counts
         trs = [
             delivered(inst, link_rates(inst, ((s.u1, n1 - s.u1), (n2 - s.u2, s.u2))))

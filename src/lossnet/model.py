@@ -311,6 +311,12 @@ def count_profiles(inst: Instance) -> int:
 BLOCK = 1024
 
 
+def check_cap(cap: int | None) -> None:
+    """Reject a negative enumeration cap, before any work."""
+    if cap is not None and cap < 0:
+        raise InvalidInputError(f"enumeration cap must be non-negative, got {cap}")
+
+
 def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarray]:
     """Every valid profile as (k, m, m) int64 flow blocks, k <= BLOCK.
 
@@ -322,8 +328,7 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
-    if cap is not None and cap < 0:
-        raise InvalidInputError(f"enumeration cap must be non-negative, got {cap}")
+    check_cap(cap)
     total = count_profiles(inst)
     if cap is not None and total > cap:
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")

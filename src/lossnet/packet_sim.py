@@ -9,21 +9,26 @@ busy for an exponential(mu) transmission time; a packet finding the link busy
 is dropped immediately (no buffer, no retry).  Every arrival at a link draws
 its own service time, used only if it is accepted.
 
-Time is cut into fixed windows of about `WINDOW` expected packets.  In each
-window every class draws its arrivals (Poisson on [t0, t1), draws past t1
-discarded) and its sidelink trials, and each link merges its feeds and scans
-them, carrying its `busy_until` across the window edge.  The scan walks only
-the accepted arrivals, each to the first arrival at or after the end of its
-service, so a blocked packet costs no interpreted step.  Memory is
-O(WINDOW) at any horizon.
+Time is cut into fixed windows of about `WINDOW` expected packets, and the
+window draws counts, not streams.  Each class draws one Poisson count for the
+window, and a relayed class one binomial(count, 1 - q) count of sidelink
+survivors: an independently thinned Poisson stream is again Poisson.  Given
+its count, a Poisson stream on [t0, t1) puts its points i.i.d. uniform there,
+so each link draws its arrival times as sorted uniforms on [t0, t1), shuffles
+the class labels of its feeds over them, and scans them, carrying its
+`busy_until` across the window edge.  The scan walks only the accepted
+arrivals, each to the first arrival at or after the end of its service, so a
+blocked packet costs no interpreted step.  Memory is O(WINDOW) at any horizon.
 
-Randomness is split into one independent child stream per class (arrivals),
-per class (sidelink trials), and per link (transmission times), all spawned
-deterministically from the master seed, so outcomes are bit-for-bit
+Randomness is split into one independent child stream per class (counts and
+sidelink trials) and per link (times, labels and transmission times), all
+spawned deterministically from the master seed, so outcomes are bit-for-bit
 reproducible and independent runs can execute concurrently.
 
-The first 1% of the horizon is excluded from every counter to remove the
-initial-idle bias; the analytic targets are stationary quantities.
+The first 1% of the horizon is a warm-up run of its own windows: it is
+scanned, so each link enters the counted span busy or idle as it would be,
+but its packets are never counted, which removes the initial-idle bias; the
+analytic targets are stationary quantities.
 """
 
 from __future__ import annotations
@@ -81,25 +86,6 @@ class SimOutcome:
     empirical_tr: float
 
 
-def _poisson_times(rng: np.random.Generator, rate: float, t0: float, t1: float) -> np.ndarray:
-    """Sorted arrival times of a Poisson(rate) stream on [t0, t1).
-
-    Draws past t1 are discarded: by memorylessness, the stream after t1 can
-    start afresh there.
-    """
-    pieces = []
-    mean = rate * (t1 - t0)
-    block = int(mean + 10.0 * math.sqrt(mean) + 64)
-    while True:
-        times = t0 + np.cumsum(rng.exponential(1.0 / rate, size=block))
-        pieces.append(times[: np.searchsorted(times, t1)])
-        if times[-1] >= t1:
-            break
-        t0 = float(times[-1])
-        block = max(block // 4, 64)
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-
-
 def _scan_link(
     times: np.ndarray, services: np.ndarray, busy_until: float
 ) -> tuple[np.ndarray, float]:
@@ -140,55 +126,43 @@ def simulate(cfg: SimConfig) -> SimOutcome:
 
     classes = [(i, r) for i in range(m) for r in range(m) if prof.flow[i][r] >= 1]
     nc = len(classes)
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(2 * nc + m)
-    arrival_rngs = [np.random.default_rng(children[2 * k]) for k in range(nc)]
-    side_rngs = [np.random.default_rng(children[2 * k + 1]) for k in range(nc)]
-    link_rngs = [np.random.default_rng(children[2 * nc + j]) for j in range(m)]
+    on_link = [np.array([k for k, (_, r) in enumerate(classes) if r == j], dtype=np.intp)
+               for j in range(m)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(nc + m)]
+    class_rngs, link_rngs = rngs[:nc], rngs[nc:]
 
     rates = [prof.flow[i][r] * inst.phi for i, r in classes]
-    windows = math.ceil(cfg.horizon * sum_left(rates) / WINDOW)
-    generated, side_lost = [0] * nc, [0] * nc
-    offered = np.zeros(nc, dtype=np.int64)
-    delivered = np.zeros(nc, dtype=np.int64)
+    reach = np.zeros(nc, dtype=np.int64)
     busy_until = [-math.inf] * m
-    for w in range(windows):
-        t0, t1 = cfg.horizon * w / windows, cfg.horizon * (w + 1) / windows
-        link_feed: list[list[tuple[np.ndarray, int]]] = [[] for _ in range(m)]
-        for k, (i, r) in enumerate(classes):
-            times = _poisson_times(arrival_rngs[k], rates[k], t0, t1)
-            first = int(np.searchsorted(times, warmup))
-            generated[k] += times.shape[0] - first
-            if r != i:
-                lost = side_rngs[k].random(times.shape[0]) < q
-                side_lost[k] += int(np.count_nonzero(lost[first:]))
-                times = times[~lost]
-            link_feed[r].append((times, k))
-        for j, feeds in enumerate(link_feed):
-            if not feeds:
-                continue
-            times = np.concatenate([f[0] for f in feeds])
-            cls = np.concatenate([np.full(f[0].shape[0], f[1]) for f in feeds])
-            if len(feeds) > 1:
-                order = np.argsort(times, kind="stable")
-                times, cls = times[order], cls[order]
-            services = link_rngs[j].exponential(1.0 / mu, size=times.shape[0])
-            accepted, busy_until[j] = _scan_link(times, services, busy_until[j])
-            first = int(np.searchsorted(times, warmup))
-            offered += np.bincount(cls[first:], minlength=nc)
-            delivered += np.bincount(cls[first:][accepted[first:]], minlength=nc)
+    for lo, hi in ((0.0, warmup), (warmup, cfg.horizon)):
+        # The counters restart after the warm-up span: it is scanned, never counted.
+        generated, reached, delivered = (np.zeros(nc, dtype=np.int64) for _ in range(3))
+        windows = math.ceil((hi - lo) * sum_left(rates) / WINDOW)
+        for w in range(windows):
+            t0, t1 = lo + (hi - lo) * w / windows, lo + (hi - lo) * (w + 1) / windows
+            for k, (i, r) in enumerate(classes):
+                n = class_rngs[k].poisson(rates[k] * (t1 - t0))
+                generated[k] += n
+                reach[k] = n if r == i else class_rngs[k].binomial(n, 1.0 - q)
+            reached += reach
+            for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
+                cls = np.repeat(ks, reach[ks])
+                times = np.sort(rng.uniform(t0, t1, cls.shape[0]))
+                rng.shuffle(cls)
+                services = rng.exponential(1.0 / mu, size=times.shape[0])
+                accepted, busy_until[j] = _scan_link(times, services, busy_until[j])
+                delivered += np.bincount(cls[accepted], minlength=nc)
 
     per_link: dict[int, LinkCounts] = {}
-    for j in range(m):
-        on_j = [k for k, (_, r) in enumerate(classes) if r == j]
-        n_off = int(offered[on_j].sum())
-        n_blk = n_off - int(delivered[on_j].sum())
+    for j, ks in enumerate(on_link):
+        n_off = int(reached[ks].sum())
+        n_blk = n_off - int(delivered[ks].sum())
         p_hat = n_blk / n_off if n_off else 0.0
         se = math.sqrt(p_hat * (1.0 - p_hat) / n_off) if n_off else 0.0
         per_link[j] = LinkCounts(n_off, n_blk, p_hat, se)
     per_class = {
-        c: ClassCounts(generated[k], side_lost[k], int(offered[k] - delivered[k]),
-                       int(delivered[k]))
+        c: ClassCounts(int(generated[k]), int(generated[k] - reached[k]),
+                       int(reached[k] - delivered[k]), int(delivered[k]))
         for k, c in enumerate(classes)
     }
     return SimOutcome(per_class, per_link, int(delivered.sum()) / (cfg.horizon - warmup))

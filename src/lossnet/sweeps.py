@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
-from .model import Instance, _as_number, instance_from_json
+from .model import Instance, _as_number, check_cap, instance_from_json
 from .equilibrium import poa_bound, poa_report
 from .optimizer import solve_optimal
 
@@ -104,6 +104,7 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
 
 def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int = 1) -> list[dict]:
     """One row per grid point, in grid order regardless of completion order."""
+    check_cap(cap)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda g: _row(spec, g, cap), spec.grid))

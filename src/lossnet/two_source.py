@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
 from .model import TOLERANCE, Instance, RoutingProfile, total_traffic
-from .equilibrium import is_nash_characterization, is_nash_deviation_oracle
 from .optimizer import solve_optimal
 
 
@@ -284,11 +283,3 @@ def check_corollaries(inst: Instance) -> dict[str, str]:
         results["unique_all_direct_ne"] = "not-applicable"
     return results
 
-
-def cross_check_state(inst: Instance, state: TwoSourceState) -> bool:
-    """True iff classify, the general characterization, and the oracle agree."""
-    prof = state.expand(inst)
-    a = classify(inst, state).is_ne
-    b = is_nash_characterization(inst, prof).is_ne
-    c = is_nash_deviation_oracle(inst, prof).is_ne
-    return a == b == c

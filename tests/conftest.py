@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: seeded random instances and profiles."""
+"""Shared helpers for the test suite: seeded random instances and profiles,
+and the three-way agreement check on one two-source state."""
 
 from __future__ import annotations
 
 import random
 
 import lossnet as ln
+from lossnet.two_source import TwoSourceState, classify
 
 
 def random_instance(
@@ -45,3 +47,12 @@ def count_shapes(max_m: int, max_total: int) -> list[tuple[int, ...]]:
     for m in range(1, max_m + 1):
         rec([], max_total, max_total, m)
     return shapes
+
+
+def cross_check_state(inst: ln.Instance, state: TwoSourceState) -> bool:
+    """True iff classify, the general characterization, and the oracle agree."""
+    prof = state.expand(inst)
+    a = classify(inst, state).is_ne
+    b = ln.is_nash_characterization(inst, prof).is_ne
+    c = ln.is_nash_deviation_oracle(inst, prof).is_ne
+    return a == b == c

@@ -10,9 +10,9 @@ import pytest
 
 import lossnet as ln
 from lossnet.packet_sim import assess_outcome
-from lossnet.two_source import TwoSourceState, cross_check_state
+from lossnet.two_source import TwoSourceState
 
-from conftest import count_shapes
+from conftest import count_shapes, cross_check_state
 
 REL_TOL = 1e-9
 

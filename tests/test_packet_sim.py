@@ -95,19 +95,24 @@ def test_validate_analytics_covers_indirect_classes():
     assert report.passed, report.failures()
 
 
-def test_merged_stream_is_poisson_with_summed_rate():
-    # c independent user streams of rate phi merge into one stream of rate
-    # c * phi; Kolmogorov-Smirnov on the inter-arrival gaps at the 1% level.
-    rng = np.random.default_rng(101)
-    c, phi, horizon = 4, 1.0, 50_000.0
-    streams = [
-        np.cumsum(rng.exponential(1.0 / phi, size=int(phi * horizon * 1.3)))
-        for _ in range(c)
-    ]
-    merged = np.sort(np.concatenate([s[s < horizon] for s in streams]))
-    gaps = np.diff(merged)
-    res = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (c * phi)))
-    assert res.pvalue >= 0.01
+def test_counts_have_poisson_dispersion(monkeypatch):
+    # Each class's generated count and each link's offered count is Poisson,
+    # so over independent seeds the index of dispersion sum((x - mean)^2) / mean
+    # is chi-square with seeds - 1 degrees of freedom; two-sided, level 1e-3.
+    # At 64 expected packets per window each count sums about 16 windows.
+    monkeypatch.setattr(packet_sim, "WINDOW", 64)
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
+    prof = ln.RoutingProfile(((2, 1), (0, 2)))
+    seeds = 300
+    outs = [ln.simulate(ln.SimConfig(inst, prof, 200.0, seed)) for seed in range(seeds)]
+    samples = {key: [o.per_class[key].generated for o in outs] for key in outs[0].per_class}
+    samples |= {("link", j): [o.per_link[j].offered for o in outs] for j in outs[0].per_link}
+    assert len(samples) == 5
+    lo, hi = stats.chi2.ppf([5e-4, 1.0 - 5e-4], seeds - 1)
+    for key, counts in samples.items():
+        x = np.array(counts, dtype=float)
+        dispersion = float(((x - x.mean()) ** 2).sum() / x.mean())
+        assert lo <= dispersion <= hi, (key, dispersion, lo, hi)
 
 
 def test_config_validation():

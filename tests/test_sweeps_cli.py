@@ -390,3 +390,24 @@ def test_cli_solve_opt_rejects_negative_oracle_cap(inst_file, capsys):
     rc = cli.main(["solve-opt", "--instance", inst_file, "--oracle", "--oracle-cap", "-1"])
     assert rc == cli.EXIT_INVALID
     assert "cap must be non-negative" in capsys.readouterr().err
+
+
+def test_cli_poa_rejects_negative_cap_on_two_sources(inst_file, capsys):
+    # Two sources take the scan_nash path, which enumerates no profile.
+    rc = cli.main(["poa", "--instance", inst_file, "--cap", "-5"])
+    assert rc == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "cap must be non-negative" in captured.err and captured.out == ""
+
+
+def test_cli_sweep_rejects_negative_cap_on_two_sources(tmp_path, capsys):
+    spec = write_json(
+        tmp_path / "spec.json",
+        {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5},
+         "axis": "q", "grid": [0.0, 0.5]},
+    )
+    out_csv = tmp_path / "data.csv"
+    rc = cli.main(["sweep", "--spec", spec, "--cap", "-5", "--out", str(out_csv)])
+    assert rc == cli.EXIT_INVALID
+    assert "cap must be non-negative" in capsys.readouterr().err
+    assert not out_csv.exists()

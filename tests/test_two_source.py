@@ -8,7 +8,9 @@ import pytest
 
 import lossnet as ln
 from lossnet.errors import InvalidInputError, UndefinedThresholdError
-from lossnet.two_source import TwoSourceState, _is_ne, cross_check_state
+from lossnet.two_source import TwoSourceState, _is_ne
+
+from conftest import cross_check_state
 
 
 def rand_two_source(rng, n_max=15):
