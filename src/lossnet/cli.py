@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -35,6 +36,15 @@ def _load_json(path: str) -> dict:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+
+
+@contextmanager
+def _writing(path: str):
+    """Report a failed write of `path` as invalid input naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
 def _load_instance(path: str) -> model.Instance:
@@ -109,7 +119,8 @@ def _cmd_enumerate_ne(args) -> int:
         lines.append(f"{flat},{u},{v},{summary.total_traffic!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {len(nes)} equilibria to {args.out}")
     else:
         sys.stdout.write(text)
@@ -184,7 +195,6 @@ def _cmd_simulate(args) -> int:
             inst, prof, outcome, model.traffic_rates(inst, prof), args.sigmas
         )
         out["validation"] = {"passed": report.passed, **asdict(report)}
-    _emit(out)
     if args.out_csv:
         lines = ["link,offered,blocked,empirical_block_prob,std_err"]
         for j, lc in sorted(outcome.per_link.items()):
@@ -192,17 +202,21 @@ def _cmd_simulate(args) -> int:
                 f"{j},{lc.offered},{lc.blocked},"
                 f"{lc.empirical_block_prob!r},{lc.std_err!r}"
             )
-        Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        with _writing(args.out_csv):
+            Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     spec = sweeps.spec_from_json(_load_json(args.spec))
     rows = sweeps.run_sweep(spec, cap=args.cap, threads=args.threads)
-    sweeps.write_csv(rows, args.out)
+    with _writing(args.out):
+        sweeps.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.plot_data:
-        written = sweeps.emit_plot_data(spec, rows, args.plot_data)
+        with _writing(args.plot_data):
+            written = sweeps.emit_plot_data(spec, rows, args.plot_data)
         print(f"wrote {len(written)} plot files to {args.plot_data}")
     return EXIT_OK
 

@@ -16,11 +16,13 @@ is an equilibrium iff
 Indifference counts as equilibrium, so a deviation must improve by more than
 the shared tolerance to disqualify a profile.
 
-`_conditions` is the only copy of (i) and (ii), over a block of profiles:
-`enumerate_nash` runs it on the blocks of `model.profile_blocks`,
-`is_nash_characterization` on a block of one.  The oracle and the
-best-response dynamics stay scalar and independent of it; they share one
-move scan, `_moves`, and each keeps its own comparison.
+`_conditions` is the only copy of (i) and (ii), over an (m, m, k) block of
+profiles, profiles last: `enumerate_nash` runs it on the blocks of
+`model.profile_blocks`, `is_nash_characterization` on a block of one.  The
+oracle and the best-response dynamics stay scalar and independent of it;
+they share one move scan, `_moves`, which evaluates each one-user move on
+plain row lists with `loss_rate`'s arithmetic, and each keeps its own
+comparison.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .model import (
     RoutingProfile,
     TrafficSummary,
     check_cap,
+    class_loss,
     delivered,
     link_rates,
-    loss_rate,
     profile_blocks,
     summarize,
 )
@@ -72,32 +74,34 @@ class NEVerdict:
 
 
 def _conditions(inst: Instance, flow: np.ndarray) -> tuple[np.ndarray, list]:
-    """Conditions (i) and (ii) on a (k, m, m) block of flow matrices.
+    """Conditions (i) and (ii) on an (m, m, k) block of flow matrices, profiles last.
 
     Returns i_star, shape (k,), and per violation kind one (kind, lhs, rhs,
-    violated) tuple of (k, m, m) arrays over (source, link): condition (i)
-    sits on the diagonal, the two halves of (ii) on the occupied indirect
-    classes.
+    violated) tuple of (m, m, k) arrays over (source, link, profile):
+    condition (i) sits on the diagonal, the two halves of (ii) on the occupied
+    indirect classes.  lhs and rhs are read-only broadcast views of the
+    per-source or per-link sides.
     """
     qbar = inst.qbar
     qm = inst.q * inst.mu / inst.phi
-    u = np.diagonal(flow, axis1=1, axis2=2)
-    v = flow.sum(axis=1) - u
+    m = flow.shape[0]
+    diag = np.arange(m)
+    u = flow[diag, diag]
+    v = flow.sum(axis=0) - u
     load = u + v * qbar
-    i_star = load.argmin(axis=1)
-    load_star = load.min(axis=1)[:, None, None]
-    direct = (flow > 0) & np.eye(flow.shape[1], dtype=bool)
-    relayed = (flow > 0) & ~direct
-    full = np.zeros(flow.shape)  # adding it spreads a side over (k, m, m)
+    i_star = load.argmin(axis=0)
+    load_star = load.min(axis=0)
+    eye = np.eye(m, dtype=bool)[:, :, None]
+    occupied = flow > 0
+    direct, relayed = occupied & eye, occupied & ~eye
     checks = []
-    for kind, occupied, lhs, rhs in (
-        ("condition-(i)", direct, (qbar * load)[:, :, None], load_star + qbar + qm),
-        ("condition-(ii)-DP", relayed, load[:, None, :],
-         (qbar * (u + 1 + v * qbar) - qm)[:, :, None]),
-        ("condition-(ii)-IP", relayed, load[:, None, :], load_star + qbar),
+    for kind, classes, lhs, rhs in (
+        ("condition-(i)", direct, (qbar * load)[:, None], load_star + qbar + qm),
+        ("condition-(ii)-DP", relayed, load, (qbar * (u + 1 + v * qbar) - qm)[:, None]),
+        ("condition-(ii)-IP", relayed, load, load_star + qbar),
     ):
-        lhs, rhs = lhs + full, rhs + full
-        checks.append((kind, lhs, rhs, occupied & (lhs > rhs + TOLERANCE)))
+        lhs, rhs = np.broadcast_to(lhs, flow.shape), np.broadcast_to(rhs, flow.shape)
+        checks.append((kind, lhs, rhs, classes & (lhs > rhs + TOLERANCE)))
     return i_star, checks
 
 
@@ -106,11 +110,11 @@ def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     prof.validate_for(inst)
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
-    i_star, checks = _conditions(inst, np.array([prof.flow], dtype=np.int64))
+    i_star, checks = _conditions(inst, np.array(prof.flow, dtype=np.int64)[:, :, None])
     found = []
     for kind, lhs, rhs, bad in checks:
-        lhs, rhs = lhs[0].tolist(), rhs[0].tolist()
-        sources, links = (x.tolist() for x in np.nonzero(bad[0]))
+        lhs, rhs = lhs[..., 0].tolist(), rhs[..., 0].tolist()
+        sources, links = (x.tolist() for x in np.nonzero(bad[..., 0]))
         found += [(kind, i, l, lhs[i][l], rhs[i][l]) for i, l in zip(sources, links)]
     # Condition (i) by source first, then each indirect class: DP before IP.
     found.sort(key=lambda f: (f[0] != "condition-(i)", f[1], f[2]))
@@ -118,10 +122,22 @@ def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     return NEVerdict(not viols, int(i_star[0]), viols)
 
 
-def _moves(inst: Instance, prof: RoutingProfile, i: int, r: int) -> tuple[float, list]:
-    """Loss rate of a class-(i, r) user, and (r2, its rate once moved to r2) per r2 != r."""
-    alts = [(r2, loss_rate(inst, prof.move(i, r, r2), i, r2)) for r2 in range(inst.m) if r2 != r]
-    return loss_rate(inst, prof, i, r), alts
+def _moves(inst: Instance, flow, t: list, i: int, r: int) -> tuple[float, list]:
+    """Loss rate of a class-(i, r) user, and (r2, its rate once moved to r2) per r2 != r.
+
+    `flow` is a valid profile's rows and `t` its link rates; each move is
+    evaluated on plain row lists with `loss_rate`'s arithmetic, so the bits
+    are `loss_rate`'s without building and validating a moved profile.
+    """
+    phi, rows = inst.phi, [list(row) for row in flow]
+    rows[i][r] -= 1
+    alts = []
+    for r2 in range(inst.m):
+        if r2 != r:
+            rows[i][r2] += 1
+            alts.append((r2, class_loss(inst, link_rates(inst, rows), i, r2, phi)))
+            rows[i][r2] -= 1
+    return class_loss(inst, t, i, r, phi), alts
 
 
 def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
@@ -129,12 +145,13 @@ def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     prof.validate_for(inst)
     u, v = prof.u(), prof.v()
     i_star = min(range(inst.m), key=lambda i: (u[i] + v[i] * inst.qbar, i))
+    t = link_rates(inst, prof.flow)
     viols: list[Violation] = []
     for i in range(inst.m):
         for r in range(inst.m):
             if prof.flow[i][r] < 1:
                 continue
-            current, moves = _moves(inst, prof, i, r)
+            current, moves = _moves(inst, prof.flow, t, i, r)
             for r2, alt in moves:
                 if current > alt + TOLERANCE:
                     if r == i:
@@ -154,8 +171,8 @@ def enumerate_nash(
     found = []
     for blk in profile_blocks(inst, cap):
         _, checks = _conditions(inst, blk)
-        is_ne = ~np.any([bad.any(axis=(1, 2)) for *_, bad in checks], axis=0)
-        for flow in blk[is_ne].tolist():
+        is_ne = ~np.any([bad.any(axis=(0, 1)) for *_, bad in checks], axis=0)
+        for flow in blk[..., is_ne].transpose(2, 0, 1).tolist():
             prof = RoutingProfile(flow)
             found.append((prof, summarize(inst, prof)))
     return found
@@ -186,6 +203,7 @@ def best_response_dynamics(
     rng = random.Random(seed)
     prof = start
     seen = {prof.flow}
+    t = link_rates(inst, prof.flow)
     for rounds in range(1, max_rounds + 1):
         occupied = [(i, r) for i in range(inst.m) for r in range(inst.m) if prof.flow[i][r] >= 1]
         rng.shuffle(occupied)
@@ -193,13 +211,14 @@ def best_response_dynamics(
         for i, r in occupied:
             if prof.flow[i][r] < 1:
                 continue
-            current, moves = _moves(inst, prof, i, r)
+            current, moves = _moves(inst, prof.flow, t, i, r)
             best_alt, best_rate = None, None
             for r2, alt in moves:
                 if best_rate is None or alt < best_rate - TOLERANCE:
                     best_alt, best_rate = r2, alt
             if best_alt is not None and current - best_rate > TOLERANCE:
                 prof = prof.move(i, r, best_alt)
+                t = link_rates(inst, prof.flow)
                 moved = True
                 if prof.flow in seen:
                     return BestResponseResult(prof, rounds, "cycle")

@@ -25,7 +25,9 @@ single user is
 `link_rates` and `delivered` are the one home of T_i and of the delivered
 sum, on ints or on arrays of profiles alike.  `profile_blocks` is the one
 profile enumerator and the one place the profile-count cap is enforced;
-every exhaustive search walks its blocks.
+every exhaustive search walks its blocks.  A block is an (m, m, k) int64
+array with the k profiles on the last, contiguous axis, so ``blk[i][j]`` is
+one count per profile and `link_rates` takes a block as it takes one flow.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -318,13 +320,15 @@ def check_cap(cap: int | None) -> None:
 
 
 def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Every valid profile as (k, m, m) int64 flow blocks, k <= BLOCK.
+    """Every valid profile as (m, m, k) int64 flow blocks, k <= BLOCK, profiles last.
 
-    Profiles come in `iter_profiles` order.  CapacityError (more profiles
-    than `cap`) and InvalidInputError (a negative `cap`, or too many users for
-    int64) are raised here, before any block is built.  The leading rows are
-    walked one composition at a time and the last row is vectorized: heads are
-    stacked while it is short, and it is cut into chunks when longer than BLOCK.
+    ``blk[i, j]`` is the contiguous row of flow[i][j] over the block's k
+    profiles, which come in `iter_profiles` order.  CapacityError (more
+    profiles than `cap`) and InvalidInputError (a negative `cap`, or too many
+    users for int64) are raised here, before any block is built.  The leading
+    rows are walked one composition at a time and the last row is vectorized:
+    heads are stacked while it is short, and it is cut into chunks when longer
+    than BLOCK.
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
@@ -348,18 +352,22 @@ def _heads(counts: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
 
 
 def _blocks(heads, per_block: int, last: int, m: int) -> Iterator[np.ndarray]:
-    """Each group of `per_block` heads joined with every chunk of the last row."""
+    """Each group of `per_block` heads joined with every chunk of the last row.
+
+    A last row that fits in one block (per_block > 1) is built once.
+    """
+    tails = list(_row_chunks(last, m)) if per_block > 1 else None
     while group := list(itertools.islice(heads, per_block)):
-        lead = np.array(group, dtype=np.int64).reshape(len(group), 1, m - 1, m)
-        for tail in _row_chunks(last, m):
-            blk = np.empty((len(group), len(tail), m, m), dtype=np.int64)
-            blk[:, :, :-1] = lead
-            blk[:, :, -1] = tail
-            yield blk.reshape(-1, m, m)
+        lead = np.array(group, dtype=np.int64).T.reshape(m - 1, m, len(group), 1)
+        for tail in tails or _row_chunks(last, m):
+            blk = np.empty((m, m, len(group), tail.shape[1]), dtype=np.int64)
+            blk[:-1] = lead
+            blk[-1] = tail[:, None]
+            yield blk.reshape(m, m, -1)
 
 
 def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
-    """compositions(total, m) as (k, m) int64 arrays of at most BLOCK rows.
+    """compositions(total, m) as (m, k) int64 arrays of at most BLOCK columns.
 
     The first m - 2 parts are walked in Python; the last two, (a, rest - a),
     come from one arange per walked prefix.
@@ -372,18 +380,18 @@ def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
         for start in range(0, rest + 1, BLOCK):
             a = np.arange(start, min(rest + 1, start + BLOCK), dtype=np.int64)
             if size + len(a) > BLOCK:
-                yield np.concatenate(parts)
+                yield np.concatenate(parts).T
                 parts, size = [], 0
             pre = np.full((len(a), m - 2), prefix, dtype=np.int64)
             parts.append(np.column_stack([pre, a, rest - a]))
             size += len(a)
-    yield np.concatenate(parts)
+    yield np.concatenate(parts).T
 
 
 def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:
     """All valid profiles, lexicographically ascending on the flattened flow."""
     for blk in profile_blocks(inst):
-        for flow in blk.tolist():
+        for flow in blk.transpose(2, 0, 1).tolist():
             yield RoutingProfile(flow)
 
 

@@ -174,8 +174,8 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
     """
     best_tr, best_sum_u, best_flow = -1.0, -1, None
     for blk in profile_blocks(inst, cap):
-        tr = delivered(inst, link_rates(inst, blk.transpose(1, 2, 0)))
-        sum_u = np.trace(blk, axis1=1, axis2=2)
+        tr = delivered(inst, link_rates(inst, blk))
+        sum_u = np.trace(blk)
         blk_best = float(tr.max())
         tie_mask = np.abs(tr - blk_best) <= _TIE_REL * max(1.0, blk_best)
         cand_sum = int(sum_u[tie_mask].max())
@@ -183,7 +183,7 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
         cand_tr = float(tr[idx])
         tie = abs(cand_tr - best_tr) <= _TIE_REL * max(1.0, abs(cand_tr), abs(best_tr))
         if (cand_tr > best_tr and not tie) or (tie and cand_sum > best_sum_u):
-            best_tr, best_sum_u, best_flow = max(cand_tr, best_tr), cand_sum, blk[idx].tolist()
+            best_tr, best_sum_u, best_flow = max(cand_tr, best_tr), cand_sum, blk[..., idx].tolist()
 
     profile = RoutingProfile(best_flow)
     u, v = profile.u(), profile.v()

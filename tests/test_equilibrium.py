@@ -1,10 +1,14 @@
+import collections
+import hashlib
 import itertools
 import random
 
 import pytest
 
 import lossnet as ln
+from lossnet.equilibrium import _moves
 from lossnet.errors import CapacityError
+from lossnet.model import link_rates
 
 from conftest import count_shapes, random_instance, random_profile
 
@@ -244,3 +248,157 @@ def test_verdict_violation_records_are_ordered_pairs():
     assert not v.is_ne
     for viol in v.violations:
         assert viol.lhs > viol.rhs + ln.TOLERANCE
+
+
+# Enumeration-engine outputs, frozen from the implementation that preceded the
+# profiles-last block layout and compared with ==.  A list of (flow, traffic)
+# pairs is the whole equilibrium set in order.  At q = 0 loads tie everywhere
+# and the set is large, so it is frozen as its count, first and last profile,
+# each traffic value's multiplicity and the sha256 of the ordered list's repr.
+FROZEN_ENGINE = [
+    (
+        ((6, 4, 3), 1.0, 1.0, 0.1),
+        [
+            (((5, 0, 1), (0, 1, 3), (0, 3, 0)), 2.4031760715386987),
+            (((5, 0, 1), (0, 2, 2), (0, 2, 1)), 2.4122340425531914),
+            (((5, 0, 1), (0, 3, 1), (0, 1, 2)), 2.4209183673469385),
+            (((5, 0, 1), (0, 4, 0), (0, 0, 3)), 2.429251700680272),
+            (((5, 1, 0), (0, 0, 4), (0, 3, 0)), 2.398550724637681),
+            (((5, 1, 0), (0, 1, 3), (0, 2, 1)), 2.4078014184397163),
+            (((5, 1, 0), (0, 2, 2), (0, 1, 2)), 2.4166666666666665),
+            (((5, 1, 0), (0, 3, 1), (0, 0, 3)), 2.4251700680272106),
+        ],
+        (2.429251700680272, 2.398550724637681, 1.0127998027005363, 0.08333333333333323,
+         11.285714285714299, 8),
+        (((5, 0, 1), (0, 4, 0), (0, 0, 3)), 2.429251700680272, 1, 1),
+        [
+            (((0, 6, 0), (0, 0, 4), (3, 0, 0)), 0, [
+                ("condition-(ii)-DP", 0, 1, 5.4, 3.23),
+                ("condition-(ii)-IP", 0, 1, 5.4, 3.6)]),
+            (((3, 0, 3), (0, 4, 0), (2, 0, 1)), 2, [
+                ("condition-(ii)-DP", 2, 0, 4.8, 4.130000000000001),
+                ("condition-(ii)-IP", 2, 0, 4.8, 4.6000000000000005)]),
+            (((6, 0, 0), (4, 0, 0), (3, 0, 0)), 1, [
+                ("condition-(i)", 0, None, 11.07, 1.0),
+                ("condition-(ii)-DP", 1, 0, 12.3, 0.8),
+                ("condition-(ii)-IP", 1, 0, 12.3, 0.9),
+                ("condition-(ii)-DP", 2, 0, 12.3, 0.8),
+                ("condition-(ii)-IP", 2, 0, 12.3, 0.9)]),
+        ],
+    ),
+    (
+        ((3, 2, 2), 1.0, 1.0, 0.0),
+        (75, ((0, 0, 3), (0, 2, 0), (2, 0, 0)), ((3, 0, 0), (0, 2, 0), (0, 0, 2)),
+         {2.083333333333333: 75},
+         "a88ff19463d3cf3fc048c3d558bddcd0187f15ba355facb55a50c4a1c135fde3"),
+        (2.083333333333333, 2.083333333333333, 1.0, -0.41666666666666663, None, 75),
+        (((3, 0, 0), (0, 2, 0), (0, 0, 2)), 2.083333333333333, 1, 0),
+        [
+            (((0, 3, 0), (0, 0, 2), (2, 0, 0)), 0, []),
+            (((1, 0, 2), (0, 2, 0), (1, 0, 1)), 0, []),
+            (((3, 0, 0), (2, 0, 0), (2, 0, 0)), 1, [
+                ("condition-(i)", 0, None, 7.0, 1.0),
+                ("condition-(ii)-DP", 1, 0, 7.0, 1.0),
+                ("condition-(ii)-IP", 1, 0, 7.0, 1.0),
+                ("condition-(ii)-DP", 2, 0, 7.0, 1.0),
+                ("condition-(ii)-IP", 2, 0, 7.0, 1.0)]),
+        ],
+    ),
+    (
+        ((6, 2, 1, 1), 1.0, 1.0, 0.3),
+        [
+            (((3, 0, 0, 3), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0)), 2.7237156511350054),
+            (((3, 0, 1, 2), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2.7521786492374725),
+            (((3, 0, 2, 1), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2.7521786492374725),
+            (((3, 0, 3, 0), (0, 2, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1)), 2.723715651135006),
+            (((3, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2.715141612200436),
+            (((3, 2, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)), 2.715141612200436),
+            (((3, 3, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1)), 2.6866786140979686),
+        ],
+        (2.7521786492374725, 2.6866786140979686, 1.0243795572703789, -0.37499999999999994,
+         None, 7),
+        (((3, 0, 1, 2), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2.7521786492374725, 1, 3),
+        [
+            (((0, 6, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1), (1, 0, 0, 0)), 0, [
+                ("condition-(ii)-DP", 0, 1, 4.199999999999999, 0.8899999999999999),
+                ("condition-(ii)-IP", 0, 1, 4.199999999999999, 1.4)]),
+            (((3, 0, 0, 3), (0, 1, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)), 2, [
+                ("condition-(i)", 0, None, 2.59, 1.7),
+                ("condition-(ii)-IP", 0, 3, 2.0999999999999996, 1.4),
+                ("condition-(ii)-DP", 2, 1, 1.7, 0.8899999999999999),
+                ("condition-(ii)-IP", 2, 1, 1.7, 1.4),
+                ("condition-(ii)-DP", 3, 0, 3.7, 1.8699999999999994),
+                ("condition-(ii)-IP", 3, 0, 3.7, 1.4)]),
+            (((6, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)), 1, [
+                ("condition-(i)", 0, None, 6.16, 1.0),
+                ("condition-(ii)-DP", 1, 0, 8.8, 0.39999999999999997),
+                ("condition-(ii)-IP", 1, 0, 8.8, 0.7),
+                ("condition-(ii)-DP", 2, 0, 8.8, 0.39999999999999997),
+                ("condition-(ii)-IP", 2, 0, 8.8, 0.7),
+                ("condition-(ii)-DP", 3, 0, 8.8, 0.39999999999999997),
+                ("condition-(ii)-IP", 3, 0, 8.8, 0.7)]),
+        ],
+    ),
+    (
+        ((2, 1, 1, 1), 0.5, 1.0, 0.0),
+        (132, ((0, 0, 0, 2), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+         ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+         {1.4999999999999998: 99, 1.5: 33},
+         "077fa31290e1d3783aaaeca1aeedb6db58ff3919c2b91bd541144ef22f272b6f"),
+        (1.4999999999999998, 1.4999999999999998, 1.0, -0.6875, None, 132),
+        (((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 1.4999999999999998, 1, 0),
+        [
+            (((0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)), 0, []),
+            (((1, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)), 1, []),
+            (((2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)), 1, [
+                ("condition-(i)", 0, None, 5.0, 1.0),
+                ("condition-(ii)-DP", 1, 0, 5.0, 1.0),
+                ("condition-(ii)-IP", 1, 0, 5.0, 1.0),
+                ("condition-(ii)-DP", 2, 0, 5.0, 1.0),
+                ("condition-(ii)-IP", 2, 0, 5.0, 1.0),
+                ("condition-(ii)-DP", 3, 0, 5.0, 1.0),
+                ("condition-(ii)-IP", 3, 0, 5.0, 1.0)]),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("params, nes, poa, optimum, verdicts", FROZEN_ENGINE)
+def test_enumeration_engine_frozen_output(params, nes, poa, optimum, verdicts):
+    inst = ln.Instance(*params)
+    got = [(p.flow, s.total_traffic) for p, s in ln.enumerate_nash(inst)]
+    if isinstance(nes, list):
+        assert got == nes
+    else:
+        count, first, last, traffic, digest = nes
+        assert (len(got), got[0][0], got[-1][0]) == (count, first, last)
+        assert collections.Counter(tr for _, tr in got) == traffic
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+    rep = ln.poa_report(inst)
+    assert (rep.tr_opt, rep.tr_worst_ne, rep.poa_exact, rep.z, rep.poa_bound,
+            rep.ne_count) == poa
+    opt = ln.brute_force_optimal(inst)
+    assert (opt.profile.flow, opt.tr, opt.threshold, opt.b) == optimum
+    for flow, i_star, violations in verdicts:
+        v = ln.is_nash_characterization(inst, ln.RoutingProfile(flow))
+        assert v.is_ne == (not violations) and v.i_star == i_star
+        assert [(x.kind, x.source, x.relay, x.lhs, x.rhs) for x in v.violations] == violations
+
+
+def test_move_scan_rates_are_loss_rate_bits():
+    rng = random.Random(10)
+    for _ in range(1500):
+        inst = random_instance(rng, m_choices=(1, 2, 3, 4, 5), n_max=6,
+                               mu_choices=(0.3, 1.0, 2.5, 7.0),
+                               q_choices=(0.0, 0.3, 1.0, rng.random()),
+                               phi=rng.choice((0.5, 1.0, 1.7)))
+        prof = random_profile(rng, inst)
+        t = link_rates(inst, prof.flow)
+        for i, r in itertools.product(range(inst.m), repeat=2):
+            if prof.flow[i][r] < 1:
+                continue
+            current, moves = _moves(inst, prof.flow, t, i, r)
+            assert current == ln.loss_rate(inst, prof, i, r)
+            assert [r2 for r2, _ in moves] == [r2 for r2 in range(inst.m) if r2 != r]
+            for r2, rate in moves:
+                assert rate == ln.loss_rate(inst, prof.move(i, r, r2), i, r2), (inst, prof, i, r)

@@ -411,3 +411,25 @@ def test_cli_sweep_rejects_negative_cap_on_two_sources(tmp_path, capsys):
     assert rc == cli.EXIT_INVALID
     assert "cap must be non-negative" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate-ne", "sweep", "sweep-plot-data", "simulate"])
+def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_path, capsys,
+                                                     command):
+    spec = write_json(
+        tmp_path / "spec.json",
+        {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5},
+         "axis": "q", "grid": [0.5]},
+    )
+    nowhere = str(tmp_path / "no-such-dir" / "x.csv")
+    a_file = str(tmp_path / "data.csv")  # a regular file cannot hold the plot files
+    argv, path = {
+        "enumerate-ne": (["enumerate-ne", "--instance", inst_file, "--out", nowhere], nowhere),
+        "sweep": (["sweep", "--spec", spec, "--out", nowhere], nowhere),
+        "sweep-plot-data": (["sweep", "--spec", spec, "--out", a_file, "--plot-data", a_file],
+                            a_file),
+        "simulate": (["simulate", "--instance", inst_file, "--profile", prof_file,
+                      "--horizon", "100", "--out-csv", nowhere], nowhere),
+    }[command]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    assert f"cannot write {path}" in capsys.readouterr().err
