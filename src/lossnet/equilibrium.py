@@ -16,13 +16,14 @@ is an equilibrium iff
 Indifference counts as equilibrium, so a deviation must improve by more than
 the shared tolerance to disqualify a profile.
 
-`_conditions` is the only copy of (i) and (ii), over an (m, m, k) block of
-profiles, profiles last: `enumerate_nash` runs it on the blocks of
-`model.profile_blocks`, `is_nash_characterization` on a block of one.  The
-oracle and the best-response dynamics stay scalar and independent of it;
-they share one move scan, `_moves`, which evaluates each one-user move on
-plain row lists with `loss_rate`'s arithmetic, and each keeps its own
-comparison.
+`_conditions` is the only copy of (i) and (ii), written once over flow
+entries that are ints or equal-shape rows of counts, as `model.link_rate`
+is: `is_nash_characterization` runs it on the profile's own tuples in plain
+Python, and `enumerate_nash` on the rows of each (m, m, k) block of
+`model.profile_blocks`.  The oracle and the best-response dynamics stay
+scalar and independent of it; they share one move scan, `_moves`, which
+rates a one-user move by the one link the user lands on, with `loss_rate`'s
+arithmetic, and each keeps its own comparison.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     check_cap,
     class_loss,
     delivered,
+    link_rate,
     link_rates,
     profile_blocks,
     summarize,
@@ -73,70 +75,73 @@ class NEVerdict:
     violations: tuple[Violation, ...]
 
 
-def _conditions(inst: Instance, flow: np.ndarray) -> tuple[np.ndarray, list]:
-    """Conditions (i) and (ii) on an (m, m, k) block of flow matrices, profiles last.
+def _conditions(inst: Instance, flow) -> tuple:
+    """Conditions (i) and (ii) on one flow; ``flow[i][j]`` is an int or an equal-shape row.
 
-    Returns i_star, shape (k,), and per violation kind one (kind, lhs, rhs,
-    violated) tuple of (m, m, k) arrays over (source, link, profile):
-    condition (i) sits on the diagonal, the two halves of (ii) on the occupied
-    indirect classes.  lhs and rhs are read-only broadcast views of the
-    per-source or per-link sides.
+    Returns the loads and, in verdict order, one (kind, source, link, lhs,
+    rhs, violated) entry per condition of each class: (i) on each direct
+    class by source, then (ii)-DP and (ii)-IP on each indirect class.  On
+    ints every value is a Python float or bool; on rows of counts each is a
+    row, and each element gets its int version's bits.
     """
-    qbar = inst.qbar
-    qm = inst.q * inst.mu / inst.phi
-    m = flow.shape[0]
-    diag = np.arange(m)
-    u = flow[diag, diag]
-    v = flow.sum(axis=0) - u
-    load = u + v * qbar
-    i_star = load.argmin(axis=0)
-    load_star = load.min(axis=0)
-    eye = np.eye(m, dtype=bool)[:, :, None]
-    occupied = flow > 0
-    direct, relayed = occupied & eye, occupied & ~eye
-    checks = []
-    for kind, classes, lhs, rhs in (
-        ("condition-(i)", direct, (qbar * load)[:, None], load_star + qbar + qm),
-        ("condition-(ii)-DP", relayed, load, (qbar * (u + 1 + v * qbar) - qm)[:, None]),
-        ("condition-(ii)-IP", relayed, load, load_star + qbar),
-    ):
-        lhs, rhs = np.broadcast_to(lhs, flow.shape), np.broadcast_to(rhs, flow.shape)
-        checks.append((kind, lhs, rhs, classes & (lhs > rhs + TOLERANCE)))
-    return i_star, checks
+    qbar, qm, m = inst.qbar, inst.q * inst.mu / inst.phi, len(flow)
+    u = [flow[i][i] for i in range(m)]
+    vq = [sum(flow[i][j] for i in range(m) if i != j) * qbar for j in range(m)]
+    load = [u[i] + vq[i] for i in range(m)]
+    # The minimum, by a fold that selects with 0/1 factors so that floats and
+    # rows take the same steps: x * True + y * False is x, bit for bit, as
+    # loads are finite and non-negative.
+    load_star = load[0]
+    for x in load[1:]:
+        load_star = x * (x < load_star) + load_star * (x >= load_star)
+    rhs_i, rhs_ip = load_star + qbar + qm, load_star + qbar
+    entries, bound_i, bound_ip = [], rhs_i + TOLERANCE, rhs_ip + TOLERANCE
+    for i in range(m):
+        lhs = qbar * load[i]
+        entries.append(("condition-(i)", i, i, lhs, rhs_i, (flow[i][i] > 0) & (lhs > bound_i)))
+    # (ii)-IP compares the relay's load with one bound shared by every class.
+    over_ip = [load[l] > bound_ip for l in range(m)]
+    for i in range(m):
+        rhs_dp = qbar * (u[i] + 1 + vq[i]) - qm
+        bound_dp = rhs_dp + TOLERANCE
+        for l in range(m):
+            if l != i:
+                occupied = flow[i][l] > 0
+                entries.append(("condition-(ii)-DP", i, l, load[l], rhs_dp,
+                                occupied & (load[l] > bound_dp)))
+                entries.append(("condition-(ii)-IP", i, l, load[l], rhs_ip, occupied & over_ip[l]))
+    return load, entries
 
 
 def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     """Equilibrium verdict from the closed-form load conditions."""
     prof.validate_for(inst)
-    if inst.n >= 2**62:
-        raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
-    i_star, checks = _conditions(inst, np.array(prof.flow, dtype=np.int64)[:, :, None])
-    found = []
-    for kind, lhs, rhs, bad in checks:
-        lhs, rhs = lhs[..., 0].tolist(), rhs[..., 0].tolist()
-        sources, links = (x.tolist() for x in np.nonzero(bad[..., 0]))
-        found += [(kind, i, l, lhs[i][l], rhs[i][l]) for i, l in zip(sources, links)]
-    # Condition (i) by source first, then each indirect class: DP before IP.
-    found.sort(key=lambda f: (f[0] != "condition-(i)", f[1], f[2]))
-    viols = tuple(Violation(kind, i, None if i == l else l, a, b) for kind, i, l, a, b in found)
-    return NEVerdict(not viols, int(i_star[0]), viols)
+    load, entries = _conditions(inst, prof.flow)
+    viols = tuple(
+        Violation(kind, i, None if i == l else l, lhs, rhs)
+        for kind, i, l, lhs, rhs, bad in entries
+        if bad
+    )
+    return NEVerdict(not viols, load.index(min(load)), viols)
 
 
 def _moves(inst: Instance, flow, t: list, i: int, r: int) -> tuple[float, list]:
     """Loss rate of a class-(i, r) user, and (r2, its rate once moved to r2) per r2 != r.
 
-    `flow` is a valid profile's rows and `t` its link rates; each move is
-    evaluated on plain row lists with `loss_rate`'s arithmetic, so the bits
-    are `loss_rate`'s without building and validating a moved profile.
+    `flow` is a valid profile's rows and `t` its link rates.  A moved user's
+    loss depends only on the rate of the link it lands on, so each move
+    rates that one link of the moved rows with `link_rate`: the bits are
+    `loss_rate`'s without building and validating a moved profile.
     """
-    phi, rows = inst.phi, [list(row) for row in flow]
-    rows[i][r] -= 1
+    phi, rows = inst.phi, list(flow)
+    row = rows[i] = list(flow[i])
+    row[r] -= 1
     alts = []
     for r2 in range(inst.m):
         if r2 != r:
-            rows[i][r2] += 1
-            alts.append((r2, class_loss(inst, link_rates(inst, rows), i, r2, phi)))
-            rows[i][r2] -= 1
+            row[r2] += 1
+            alts.append((r2, class_loss(inst, {r2: link_rate(inst, rows, r2)}, i, r2, phi)))
+            row[r2] -= 1
     return class_loss(inst, t, i, r, phi), alts
 
 
@@ -170,8 +175,8 @@ def enumerate_nash(
     """Every equilibrium profile with its traffic summary, lexicographic order."""
     found = []
     for blk in profile_blocks(inst, cap):
-        _, checks = _conditions(inst, blk)
-        is_ne = ~np.any([bad.any(axis=(0, 1)) for *_, bad in checks], axis=0)
+        _, entries = _conditions(inst, blk)
+        is_ne = ~np.any([bad for *_, bad in entries], axis=0)
         for flow in blk[..., is_ne].transpose(2, 0, 1).tolist():
             prof = RoutingProfile(flow)
             found.append((prof, summarize(inst, prof)))

@@ -22,12 +22,16 @@ single user is
     direct path:          phi * T_i / (T_i + mu)
     indirect via relay j: phi * (q + (1 - q) * T_j / (T_j + mu)).
 
-`link_rates` and `delivered` are the one home of T_i and of the delivered
-sum, on ints or on arrays of profiles alike.  `profile_blocks` is the one
-profile enumerator and the one place the profile-count cap is enforced;
-every exhaustive search walks its blocks.  A block is an (m, m, k) int64
-array with the k profiles on the last, contiguous axis, so ``blk[i][j]`` is
-one count per profile and `link_rates` takes a block as it takes one flow.
+`link_rate` and `delivered` are the one home of T_i and of the delivered
+sum, on ints or on arrays of profiles alike; `link_rates` is `link_rate` on
+every link.  `profile_blocks` is the one profile enumerator and the one
+place the profile-count cap is enforced; every exhaustive search walks its
+blocks.  A block is an (m, m, k) int64 array with the k profiles on the
+last, contiguous axis, so ``blk[i][j]`` is one count per profile and
+`link_rates` takes a block as it takes one flow.  Blocks are built from
+arrays of each row's compositions, joined by `_product`; a row is walked in
+Python, one composition at a time, only when the rows after it have more
+combinations than fit in a block.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -35,7 +39,6 @@ call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -78,6 +81,8 @@ class Instance:
             _as_int(n, f"user_counts[{i}]")
             if n < 1:
                 raise InvalidInputError(f"user_counts[{i}] must be >= 1, got {n}")
+        if self.n >= 2**1023:
+            raise InvalidInputError(f"{self.n} users overflow the float rate arithmetic")
         if not (self.phi > 0 and math.isfinite(self.phi)):
             raise InvalidInputError(f"phi must be a positive finite real, got {self.phi!r}")
         if not (self.mu > 0 and math.isfinite(self.mu)):
@@ -206,20 +211,22 @@ def _check_index(idx: int, m: int, name: str) -> None:
         raise InvalidInputError(f"{name} must be a source index in [0, {m}), got {idx!r}")
 
 
-def link_rates(inst: Instance, flow) -> list:
-    """Offered rate T_j on each direct link; ``flow[i][j]`` is an int or an array.
+def link_rate(inst: Instance, flow, j: int):
+    """Offered rate T_j on direct link j; ``flow[i][j]`` is an int or an array.
 
     Arrays of counts must share one shape; each element gets its int version's bits.
     """
-    qbar, phi, m = inst.qbar, inst.phi, len(flow)
-    rates = []
-    for j in range(m):
-        t = flow[j][j] * 1.0 * phi
-        for i in range(m):
-            if i != j:
-                t = t + flow[i][j] * qbar * phi
-        rates.append(t)
-    return rates
+    qbar, phi = inst.qbar, inst.phi
+    t = flow[j][j] * 1.0 * phi
+    for i in range(len(flow)):
+        if i != j:
+            t = t + flow[i][j] * qbar * phi
+    return t
+
+
+def link_rates(inst: Instance, flow) -> list:
+    """Offered rate T_j on each direct link, by `link_rate`."""
+    return [link_rate(inst, flow, j) for j in range(len(flow))]
 
 
 def sum_left(terms) -> float:
@@ -266,10 +273,11 @@ def class_loss(
 ) -> float:
     """Loss rate of class (origin, relay) under link rates `t`, per user of rate `phi`.
 
-    At the default phi = 1 this is the class loss probability.
+    Only ``t[relay]`` is read.  At the default phi = 1 this is the class loss
+    probability.
     """
     if origin == relay:
-        return phi * t[origin] / (t[origin] + inst.mu)
+        return phi * t[relay] / (t[relay] + inst.mu)
     return phi * (inst.q + inst.qbar * t[relay] / (t[relay] + inst.mu))
 
 
@@ -325,10 +333,10 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     ``blk[i, j]`` is the contiguous row of flow[i][j] over the block's k
     profiles, which come in `iter_profiles` order.  CapacityError (more
     profiles than `cap`) and InvalidInputError (a negative `cap`, or too many
-    users for int64) are raised here, before any block is built.  The leading
-    rows are walked one composition at a time and the last row is vectorized:
-    heads are stacked while it is short, and it is cut into chunks when longer
-    than BLOCK.
+    users for int64) are raised here, before any block is built.  A block
+    joins `per_block` consecutive heads (the leading m - 1 rows), regrouped
+    from the runs of `_runs`, with the last row: all of it when it is short,
+    one chunk of it when it is longer than BLOCK.
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
@@ -338,36 +346,72 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")
     m, counts = inst.m, inst.user_counts
     per_block = max(1, BLOCK // math.comb(counts[-1] + m - 1, m - 1))
-    return _blocks(_heads(counts[:-1], m), per_block, counts[-1], m)
+    return _blocks(_runs(counts[:-1], m), per_block, counts[-1], m)
 
 
-def _heads(counts: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
-    """The leading rows of every profile, flattened, ascending lex."""
-    if not counts:
-        yield ()
-        return
-    for row in compositions(counts[0], m):
-        for rest in _heads(counts[1:], m):
-            yield row + rest
-
-
-def _blocks(heads, per_block: int, last: int, m: int) -> Iterator[np.ndarray]:
-    """Each group of `per_block` heads joined with every chunk of the last row.
+def _blocks(runs, per_block: int, last: int, m: int) -> Iterator[np.ndarray]:
+    """Each group of `per_block` heads of the runs joined with every chunk of the last row.
 
     A last row that fits in one block (per_block > 1) is built once.
     """
     tails = list(_row_chunks(last, m)) if per_block > 1 else None
-    while group := list(itertools.islice(heads, per_block)):
-        lead = np.array(group, dtype=np.int64).T.reshape(m - 1, m, len(group), 1)
+    for lead in _groups(runs, per_block):
         for tail in tails or _row_chunks(last, m):
-            blk = np.empty((m, m, len(group), tail.shape[1]), dtype=np.int64)
-            blk[:-1] = lead
-            blk[-1] = tail[:, None]
-            yield blk.reshape(m, m, -1)
+            yield _product(lead, tail[None])
 
 
-def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
-    """compositions(total, m) as (m, k) int64 arrays of at most BLOCK columns.
+def _groups(runs, size: int) -> Iterator[np.ndarray]:
+    """The columns of consecutive runs, `size` at a time; the last group may be short."""
+    parts, have = [], 0
+    for run in runs:
+        while run.shape[2]:
+            part, run = run[..., : size - have], run[..., size - have :]
+            parts.append(part)
+            have += part.shape[2]
+            if have == size:
+                yield np.concatenate(parts, axis=2)
+                parts, have = [], 0
+    if parts:
+        yield np.concatenate(parts, axis=2)
+
+
+def _runs(counts: tuple[int, ...], m: int) -> Iterator[np.ndarray]:
+    """Rows with these user counts, every combination ascending lex, as (len(counts), m, k) runs.
+
+    When the rows after the first have at most BLOCK combinations, they form
+    one run, and the first row is cut into chunks whose product with it stays
+    within BLOCK; otherwise the first row is walked one composition at a
+    time, each joined with every run of the rest.  So k <= BLOCK.
+    """
+    if not counts:
+        yield np.empty((0, m, 1), dtype=np.int64)
+        return
+    rest = math.prod(math.comb(n + m - 1, m - 1) for n in counts[1:])
+    if rest <= BLOCK:
+        (tail,) = _runs(counts[1:], m)
+        for chunk in _row_chunks(counts[0], m, BLOCK // rest):
+            yield _product(chunk[None], tail)
+        return
+    for row in compositions(counts[0], m):
+        head = np.array(row, dtype=np.int64).reshape(1, m, 1)
+        for tail in _runs(counts[1:], m):
+            yield _product(head, tail)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of `a` above rows of `b` for every pair of their columns, `a`'s column slowest.
+
+    `a` is (ra, m, ka) and `b` (rb, m, kb); the result is (ra + rb, m, ka * kb) int64.
+    """
+    ra, m, ka = a.shape
+    out = np.empty((ra + b.shape[0], m, ka, b.shape[2]), dtype=np.int64)
+    out[:ra] = a[..., None]
+    out[ra:] = b[:, :, None]
+    return out.reshape(ra + b.shape[0], m, -1)
+
+
+def _row_chunks(total: int, m: int, size: int = BLOCK) -> Iterator[np.ndarray]:
+    """compositions(total, m) as (m, k) int64 arrays of at most `size` columns.
 
     The first m - 2 parts are walked in Python; the last two, (a, rest - a),
     come from one arange per walked prefix.
@@ -375,17 +419,19 @@ def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
     if m == 1:
         yield np.array([[total]], dtype=np.int64)
         return
-    parts, size = [], 0
+    parts, have = [], 0
     for *prefix, rest in compositions(total, m - 1):
-        for start in range(0, rest + 1, BLOCK):
-            a = np.arange(start, min(rest + 1, start + BLOCK), dtype=np.int64)
-            if size + len(a) > BLOCK:
-                yield np.concatenate(parts).T
-                parts, size = [], 0
-            pre = np.full((len(a), m - 2), prefix, dtype=np.int64)
-            parts.append(np.column_stack([pre, a, rest - a]))
-            size += len(a)
-    yield np.concatenate(parts).T
+        for start in range(0, rest + 1, size):
+            a = np.arange(start, min(rest + 1, start + size), dtype=np.int64)
+            if have + len(a) > size:
+                yield np.concatenate(parts, axis=1)
+                parts, have = [], 0
+            piece = np.empty((m, len(a)), dtype=np.int64)
+            piece[:-2] = np.reshape(prefix, (m - 2, 1))
+            piece[-2], piece[-1] = a, rest - a
+            parts.append(piece)
+            have += len(a)
+    yield np.concatenate(parts, axis=1)
 
 
 def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:

@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import lossnet as ln
-from lossnet.equilibrium import _moves
+from lossnet.equilibrium import _conditions, _moves
 from lossnet.errors import CapacityError
-from lossnet.model import link_rates
+from lossnet.model import link_rates, profile_blocks
 
 from conftest import count_shapes, random_instance, random_profile
 
@@ -383,6 +384,39 @@ def test_enumeration_engine_frozen_output(params, nes, poa, optimum, verdicts):
         v = ln.is_nash_characterization(inst, ln.RoutingProfile(flow))
         assert v.is_ne == (not violations) and v.i_star == i_star
         assert [(x.kind, x.source, x.relay, x.lhs, x.rhs) for x in v.violations] == violations
+
+
+def conditions_shapes():
+    """Count vectors for the scalar/block comparison: every one with m <= 2 and
+    at most 6 users per source, then the non-increasing ones with m = 3 (at most
+    6 per source, 9 in all) and m = 4 (at most 3 per source, 6 in all)."""
+    shapes = [c for m in (1, 2) for c in itertools.product(range(1, 7), repeat=m)]
+    for m, per_source, total in ((3, 6, 9), (4, 3, 6)):
+        shapes += [c for c in itertools.product(range(per_source, 0, -1), repeat=m)
+                   if list(c) == sorted(c, reverse=True) and sum(c) <= total]
+    return shapes
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0, random.Random(11).random()])
+def test_scalar_and_block_conditions_flag_the_same_violations(q):
+    """(i) and (ii) have one copy: on every profile, the scalar verdict lists
+    exactly the conditions the block path flags in that profile's column, with
+    the same i_star and the same bits on both sides of each inequality."""
+    for counts in conditions_shapes():
+        inst = ln.Instance(counts, 1.0, 1.5, q)
+        for blk in profile_blocks(inst):
+            load, entries = _conditions(inst, blk)
+            i_star = np.argmin(load, axis=0).tolist()
+            flagged = [[] for _ in range(blk.shape[2])]
+            for kind, i, l, lhs, rhs, bad in entries:
+                lhs, rhs = lhs.tolist(), rhs.tolist()
+                for c in np.flatnonzero(bad).tolist():
+                    flagged[c].append((kind, i, None if i == l else l, lhs[c].hex(), rhs[c].hex()))
+            for c, flow in enumerate(blk.transpose(2, 0, 1).tolist()):
+                v = ln.is_nash_characterization(inst, ln.RoutingProfile(flow))
+                assert v.i_star == i_star[c]
+                got = [(x.kind, x.source, x.relay, x.lhs.hex(), x.rhs.hex()) for x in v.violations]
+                assert got == flagged[c], (inst, flow)
 
 
 def test_move_scan_rates_are_loss_rate_bits():

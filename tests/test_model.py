@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -6,7 +7,8 @@ import pytest
 
 import lossnet as ln
 from lossnet.errors import CapacityError, InvalidInputError
-from lossnet.model import delivered, link_rates
+from lossnet.model import delivered, link_rates, profile_blocks
+from lossnet.two_source import TwoSourceState, classify
 
 from conftest import random_instance, random_profile
 
@@ -222,12 +224,51 @@ def test_iter_profiles_is_lazy_on_a_huge_profile_space():
         ln.brute_force_optimal(inst)
 
 
+# sha256 of each profile_blocks sequence (every block's dtype, shape and
+# bytes, in order), frozen from the implementation that walked the heads one
+# composition at a time, with the block count.  The shapes cover m = 1, 2 and
+# 4, last rows longer than a block (one head per block), head groups that span
+# several leading compositions, and leading rows longer than a block.
+FROZEN_BLOCKS = [
+    ((7,), 1, "faef0c50a78eaa636a7b72b2011e54066514a847b17adf9d773018efbe3f08ca"),
+    ((7, 3), 1, "b687d62d1c3e1fa19cfd38bbd59e42a7b18b173eacb3df2aa81e9fd54df154c3"),
+    ((1500, 2), 5, "23da9d11ee00bb5b8208329bcc5e830c75a62b34cf5ccd6f5ce90b2b88bd352e"),
+    ((1, 1, 100), 54, "8694a15847252e5638387a90ac3304d4a69a0a6852b03f9675784db00a37fdb7"),
+    ((2, 2, 50), 72, "d6ba88b06bf8fc657b91630ed9bd31d77bb676ab6e8c3b90a0ab748c8d941c7b"),
+    ((9, 5, 3), 12, "397a83cbbd380d748c0c4c04552ee4dfe1c13f379b5ac0da940ad1d9efaf28c9"),
+    ((6, 5, 5), 13, "422190b52d92b5472c63e0f1c72e3444db6f372090c46f8f0ea4e1e9b1818685"),
+    ((2, 45, 1), 20, "c50799da0c2b230af13b275b5d825ae7da11c2caee175f99cca8bf3b6986aa54"),
+    ((3, 2, 2, 2), 20, "c328844662dae9c76e07635de3f0dee87f521ab6a448e03fd47f3b8502580c33"),
+    ((2, 5, 5, 1), 123, "1fb6fa6f1a9b45ca1ea765cbb161e0439272041022b277cd064316e0f9de4759"),
+]
+
+
+@pytest.mark.parametrize("counts, n_blocks, digest", FROZEN_BLOCKS)
+def test_profile_blocks_frozen_bytes(counts, n_blocks, digest):
+    h, seen = hashlib.sha256(), 0
+    for blk in profile_blocks(ln.Instance(counts, 1.0, 1.0, 0.5)):
+        assert blk.flags.c_contiguous
+        h.update(f"{blk.dtype.str}{blk.shape}".encode())
+        h.update(blk.tobytes())
+        seen += 1
+    assert (seen, h.hexdigest()) == (n_blocks, digest)
+
+
 def test_counts_beyond_int64_arithmetic_are_rejected():
     inst = ln.Instance((2**63, 1), 1.0, 1.0, 0.5)
     with pytest.raises(InvalidInputError, match="int64"):
         next(ln.iter_profiles(inst))
-    with pytest.raises(InvalidInputError, match="int64"):
-        ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst))
+    # The characterization runs on Python ints, so it still decides here.
+    verdict = ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst))
+    assert verdict.is_ne == classify(inst, TwoSourceState(2**63, 1)).is_ne is False
+    assert [v.kind for v in verdict.violations] == ["condition-(i)"]
+
+
+def test_counts_beyond_float_arithmetic_are_rejected():
+    with pytest.raises(InvalidInputError, match="float"):
+        ln.Instance((10**400, 1), 1.0, 1.0, 0.5)
+    inst = ln.Instance((2**1022, 1), 1.0, 1.0, 0.5)
+    assert not ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst)).is_ne
 
 
 def test_instance_json_round_trip():

@@ -181,6 +181,36 @@ def test_cli_check_ne(inst_file, prof_file, capsys):
     assert out["oracle"]["is_ne"] is True
 
 
+def test_cli_check_ne_prints_plain_ints_and_floats(tmp_path, capsys):
+    """No numpy scalar reaches the verdicts: an int64 would not serialize, and a
+    float64 would change the reprs the frozen tests compare."""
+    inst = ln.Instance((4, 1, 2), 1.0, 1.0, 0.2)
+    flow = [[0, 4, 0], [1, 0, 0], [0, 1, 1]]
+    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    prof_path = write_json(tmp_path / "p.json", {"flow": flow})
+    rc = cli.main(["check-ne", "--instance", inst_path, "--profile", prof_path, "--oracle"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    prof = ln.RoutingProfile(flow)
+    for key, decide in (("characterization", ln.is_nash_characterization),
+                        ("oracle", ln.is_nash_deviation_oracle)):
+        verdict = decide(inst, prof)
+        assert type(verdict.i_star) is int and type(out[key]["i_star"]) is int
+        assert out[key]["i_star"] == verdict.i_star
+        assert verdict.violations and len(out[key]["violations"]) == len(verdict.violations)
+        for got, want in zip(out[key]["violations"], verdict.violations):
+            assert type(want.lhs) is float and type(want.rhs) is float
+            assert type(got["lhs"]) is float and type(got["rhs"]) is float
+            assert (got["lhs"], got["rhs"]) == (want.lhs, want.rhs)
+
+
+def test_cli_counts_beyond_float_arithmetic_exit_code(tmp_path, prof_file, capsys):
+    inst = write_json(tmp_path / "big.json",
+                      {"m": 2, "n": [10**400, 2], "phi": 1.0, "mu": 1.0, "q": 0.5})
+    assert cli.main(["check-ne", "--instance", inst, "--profile", prof_file]) == cli.EXIT_INVALID
+    assert "float" in capsys.readouterr().err
+
+
 def test_cli_enumerate_ne_to_csv(inst_file, tmp_path, capsys):
     out_csv = tmp_path / "ne.csv"
     rc = cli.main(
