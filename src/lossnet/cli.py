@@ -47,6 +47,13 @@ def _writing(path: str):
         raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Reject an output path whose directory does not exist, before any work."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+
+
 def _load_instance(path: str) -> model.Instance:
     return model.instance_from_json(_load_json(path))
 
@@ -109,6 +116,7 @@ def _cmd_check_ne(args) -> int:
 
 
 def _cmd_enumerate_ne(args) -> int:
+    _check_writable(args.out)
     inst = _load_instance(args.instance)
     nes = equilibrium.enumerate_nash(inst, cap=args.cap)
     lines = ["flow,u,v,tr"]
@@ -183,6 +191,7 @@ def _cmd_two_source(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_writable(args.out_csv)
     inst = _load_instance(args.instance)
     prof = _load_profile(args.profile, inst)
     cfg = packet_sim.SimConfig(inst, prof, horizon=args.horizon, seed=args.seed)
@@ -209,6 +218,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.out, args.plot_data)
     spec = sweeps.spec_from_json(_load_json(args.spec))
     rows = sweeps.run_sweep(spec, cap=args.cap, threads=args.threads)
     with _writing(args.out):

@@ -6,27 +6,32 @@ survives an independent Bernoulli(1 - q) sidelink trial (the sidelink itself
 is instantaneous and has no service process).  A packet that reaches direct
 link r is delivered only if the link is idle, in which case the link stays
 busy for an exponential(mu) transmission time; a packet finding the link busy
-is dropped immediately (no buffer, no retry).  Every arrival at a link draws
-its own service time, used only if it is accepted.
+is dropped immediately (no buffer, no retry).
 
 Time is cut into fixed windows of about `WINDOW` expected packets, and the
 window draws counts, not streams.  Each class draws one Poisson count for the
 window, and a relayed class one binomial(count, 1 - q) count of sidelink
 survivors: an independently thinned Poisson stream is again Poisson.  Given
 its count, a Poisson stream on [t0, t1) puts its points i.i.d. uniform there,
-so each link draws its arrival times as sorted uniforms on [t0, t1), shuffles
-the class labels of its feeds over them, and scans them, carrying its
-`busy_until` across the window edge.  The scan walks only the accepted
-arrivals, each to the first arrival at or after the end of its service, so a
-blocked packet costs no interpreted step.  Memory is O(WINDOW) at any horizon.
+so each link draws its arrival times as sorted uniforms on [t0, t1).
+
+No link is walked.  Just after any arrival is handled the link is busy, and
+by memorylessness the service in progress has a fresh exponential(mu)
+residual, independent of the past; so arrival k is accepted exactly when a
+residual drawn for it is at most the gap since arrival k - 1, independently
+given the times.  Each link carries its last arrival time across window
+edges (-inf at the start: the link starts idle).  The class labels of a
+link's arrivals do not depend on acceptance, so the delivered count of each
+class, given the link's accepted total, is multivariate hypergeometric over
+the counts that reached the link.  Memory is O(WINDOW) at any horizon.
 
 Randomness is split into one independent child stream per class (counts and
-sidelink trials) and per link (times, labels and transmission times), all
+sidelink trials) and per link (times, residuals and the class split), all
 spawned deterministically from the master seed, so outcomes are bit-for-bit
 reproducible and independent runs can execute concurrently.
 
 The first 1% of the horizon is a warm-up run of its own windows: it is
-scanned, so each link enters the counted span busy or idle as it would be,
+simulated, so each link enters the counted span busy or idle as it would be,
 but its packets are never counted, which removes the initial-idle bias; the
 analytic targets are stationary quantities.
 """
@@ -86,36 +91,14 @@ class SimOutcome:
     empirical_tr: float
 
 
-def _scan_link(
-    times: np.ndarray, services: np.ndarray, busy_until: float
-) -> tuple[np.ndarray, float]:
-    """Accepted arrivals of one link window, and the link's busy_until after it.
+def _accepted(rng: np.random.Generator, times: np.ndarray, last: float, mu: float) -> np.ndarray:
+    """Which of one link's sorted arrivals find it idle, given its last arrival `last` before them.
 
-    Arrival k finds the link idle when times[k] >= busy_until, and then holds
-    it until times[k] + services[k].  Its successor is the first arrival at or
-    after that end, and at least k + 1, so that a float tie t + s == t cannot
-    stall the walk.  The walk follows successors from the first arrival at or
-    after `busy_until`, so a blocked arrival costs no interpreted step.
+    The link is busy just after each arrival, with a fresh exponential(mu)
+    residual service, so arrival k is accepted when the residual drawn for
+    it is at most times[k] - times[k - 1].  `last` is -inf on an idle link.
     """
-    n = times.shape[0]
-    ends = times + services
-    nxt = np.arange(1, n + 1)
-    ext = np.append(times, np.inf)
-    for _ in range(2):  # most successors are a step or two ahead: binary-search only the rest
-        nxt += ext[nxt] < ends
-    far = np.flatnonzero(ext[nxt] < ends)
-    nxt[far] = np.searchsorted(times, ends[far])
-    nxt = nxt.tolist()
-    accepted = bytearray(n)
-    k = int(np.searchsorted(times, busy_until))
-    try:
-        while True:
-            accepted[k] = 1
-            k = nxt[k]
-    except IndexError:  # k == n: the walk has left the window
-        pass
-    last = accepted.rfind(1)
-    return np.frombuffer(accepted, dtype=bool), float(ends[last]) if last >= 0 else busy_until
+    return rng.exponential(1.0 / mu, times.shape[0]) <= np.diff(times, prepend=last)
 
 
 def simulate(cfg: SimConfig) -> SimOutcome:
@@ -133,9 +116,9 @@ def simulate(cfg: SimConfig) -> SimOutcome:
 
     rates = [prof.flow[i][r] * inst.phi for i, r in classes]
     reach = np.zeros(nc, dtype=np.int64)
-    busy_until = [-math.inf] * m
+    last = [-math.inf] * m
     for lo, hi in ((0.0, warmup), (warmup, cfg.horizon)):
-        # The counters restart after the warm-up span: it is scanned, never counted.
+        # The counters restart after the warm-up span: it is simulated, never counted.
         generated, reached, delivered = (np.zeros(nc, dtype=np.int64) for _ in range(3))
         windows = math.ceil((hi - lo) * sum_left(rates) / WINDOW)
         for w in range(windows):
@@ -146,12 +129,13 @@ def simulate(cfg: SimConfig) -> SimOutcome:
                 reach[k] = n if r == i else class_rngs[k].binomial(n, 1.0 - q)
             reached += reach
             for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
-                cls = np.repeat(ks, reach[ks])
-                times = np.sort(rng.uniform(t0, t1, cls.shape[0]))
-                rng.shuffle(cls)
-                services = rng.exponential(1.0 / mu, size=times.shape[0])
-                accepted, busy_until[j] = _scan_link(times, services, busy_until[j])
-                delivered += np.bincount(cls[accepted], minlength=nc)
+                feeds = reach[ks]
+                times = rng.uniform(t0, t1, int(feeds.sum()))
+                times.sort()
+                n_acc = int(np.count_nonzero(_accepted(rng, times, last[j], mu)))
+                if times.shape[0]:
+                    last[j] = float(times[-1])
+                delivered[ks] += rng.multivariate_hypergeometric(feeds, n_acc)
 
     per_link: dict[int, LinkCounts] = {}
     for j, ks in enumerate(on_link):

@@ -8,7 +8,7 @@ from scipy import stats
 import lossnet as ln
 from lossnet.errors import InvalidInputError
 from lossnet import packet_sim
-from lossnet.packet_sim import _scan_link, assess_outcome
+from lossnet.packet_sim import _accepted, assess_outcome
 
 
 def small_cfg(horizon=20_000.0, seed=0, q=0.3):
@@ -171,40 +171,79 @@ def _scalar_accepted(times, services):
     return accepted, busy_until
 
 
-def _windowed_accepted(times, services, edges):
-    """_scan_link run window by window between time edges, carrying busy_until."""
-    busy_until, accepted = -math.inf, []
-    cuts = np.searchsorted(times, edges)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        acc, busy_until = _scan_link(times[lo:hi], services[lo:hi], busy_until)
-        accepted += (lo + np.flatnonzero(acc)).tolist()
-    return accepted, busy_until
+def _blocking_and_pairs(blocked):
+    """Blocked fraction and lag-1 frequency of (blocked, blocked) pairs."""
+    return blocked.mean(), (blocked[1:] & blocked[:-1]).mean()
 
 
-@pytest.mark.parametrize("mean_service", [0.1, 1.0, 10.0, 300.0])
-def test_windowed_scan_matches_scalar_reference(mean_service):
-    # Windows of 20 time units at arrival rate 1; a mean service of 300
-    # spans many windows.  The edge 500 is repeated to give an empty window.
-    rng = np.random.default_rng(int(mean_service * 10))
-    times = np.cumsum(rng.exponential(1.0, size=3000))
-    services = rng.exponential(mean_service, size=3000)
-    edges = np.concatenate([np.arange(0.0, 500.0, 20.0), [500.0, 500.0],
-                            np.arange(520.0, times[-1] + 20.0, 20.0)])
-    assert _windowed_accepted(times, services, edges) == _scalar_accepted(times, services)
+@pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
+def test_residual_rule_matches_scalar_reference(mu):
+    # Poisson arrivals of rate T = 1 on one link.  The residual rule and the
+    # busy/idle loop, each with its own services, run on the same times; by
+    # PASTA both block a fraction T / (T + mu), and as the blocked indicators
+    # are i.i.d. under Poisson arrivals, the pairs a fraction (T / (T + mu))^2.
+    seeds, n = 40, 10_000
+    p = 1.0 / (1.0 + mu)
+    fast, ref = [], []
+    for seed in range(seeds):
+        rng = np.random.default_rng([seed, int(mu * 10)])
+        times = np.cumsum(rng.exponential(1.0, size=n))
+        fast.append(_blocking_and_pairs(~_accepted(rng, times, -math.inf, mu)))
+        blocked = np.ones(n, dtype=bool)
+        blocked[_scalar_accepted(times, rng.exponential(1.0 / mu, size=n))[0]] = False
+        ref.append(_blocking_and_pairs(blocked))
+    fast, ref = np.array(fast), np.array(ref)
+    for col, expected in ((0, p), (1, p * p)):
+        diff = fast[:, col] - ref[:, col]
+        assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(seeds), (col, diff.mean())
+        for got in (fast[:, col], ref[:, col]):
+            se = got.std(ddof=1) / math.sqrt(seeds)
+            assert abs(got.mean() - expected) <= 4.0 * se, (col, got.mean(), expected)
 
 
-def test_windowed_scan_float_ties_and_empty_windows():
-    # At t = 1e17 the float spacing is 16, so a short service gives
-    # t + s == t and the next arrival at the same instant finds the link idle.
-    rng = np.random.default_rng(5)
-    times = np.sort(1e17 + 16.0 * rng.integers(0, 400, size=2000))
-    services = np.where(rng.random(2000) < 0.9, rng.exponential(1.0, 2000), 100.0)
-    ref = _scalar_accepted(times, services)
-    assert sum(times[a] == times[b] for a, b in zip(ref[0], ref[0][1:])) > 100
-    edges = np.concatenate([[0.0, 1.0], 1e17 + 16.0 * np.arange(0, 420, 7)])
-    assert _windowed_accepted(times, services, edges) == ref
-    acc, busy_until = _scan_link(np.empty(0), np.empty(0), 3.5)
-    assert acc.shape == (0,) and busy_until == 3.5
+def test_residual_rule_carries_the_last_arrival(monkeypatch):
+    # One expected packet per window: most windows leave a link no arrival,
+    # and such a window must hand on the last arrival time it was given.
+    monkeypatch.setattr(packet_sim, "WINDOW", 1)
+    calls = []
+
+    def recording(rng, times, last, mu):
+        calls.append((times.copy(), last))
+        return _accepted(rng, times, last, mu)
+
+    monkeypatch.setattr(packet_sim, "_accepted", recording)
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
+    prof = ln.RoutingProfile(((2, 1), (0, 2)))
+    ln.simulate(ln.SimConfig(inst, prof, 200.0, 0))
+    empty = 0
+    for j in range(inst.m):  # both links are fed, so each window calls link 0, then link 1
+        carried = -math.inf
+        for times, last in calls[j::inst.m]:
+            assert last == carried
+            if times.shape[0]:
+                carried = float(times[-1])
+            else:
+                empty += last > -math.inf
+    assert empty > 20
+
+
+def test_class_split_does_not_depend_on_class():
+    # Link 1 carries classes (0, 1) and (1, 1).  Per seed, the 2 x 2 table of
+    # class by delivered/blocked has a Pearson statistic near chi-square(1)
+    # if delivery is independent of the class, so the sum over seeds is
+    # chi-square with `seeds` degrees of freedom; two-sided, level 1e-3.
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
+    prof = ln.RoutingProfile(((2, 1), (0, 2)))
+    seeds = 200
+    total = 0.0
+    for seed in range(seeds):
+        out = ln.simulate(ln.SimConfig(inst, prof, 2_000.0, seed))
+        table = np.array([[c.delivered, c.congestion_lost]
+                          for c in (out.per_class[(0, 1)], out.per_class[(1, 1)])], dtype=float)
+        expected = table.sum(1, keepdims=True) * table.sum(0, keepdims=True) / table.sum()
+        total += float(((table - expected) ** 2 / expected).sum())
+    lo, hi = stats.chi2.ppf([5e-4, 1.0 - 5e-4], seeds)
+    assert lo <= total <= hi, (total, lo, hi)
 
 
 def test_window_edges_keep_statistics(monkeypatch):

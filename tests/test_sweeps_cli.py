@@ -463,3 +463,32 @@ def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_p
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
     assert f"cannot write {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate-ne", "sweep", "sweep-plot-data", "simulate"])
+def test_cli_missing_output_directory_fails_before_any_work(
+    inst_file, prof_file, tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    for owner, name in ((cli.packet_sim, "simulate"), (cli.equilibrium, "enumerate_nash"),
+                        (cli.sweeps, "run_sweep")):
+        monkeypatch.setattr(owner, name, no_work)
+    spec = write_json(
+        tmp_path / "spec.json",
+        {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5},
+         "axis": "q", "grid": [0.5]},
+    )
+    nowhere = str(tmp_path / "no-such-dir" / "x.csv")
+    data = tmp_path / "data.csv"
+    argv = {
+        "enumerate-ne": ["enumerate-ne", "--instance", inst_file, "--out", nowhere],
+        "sweep": ["sweep", "--spec", spec, "--out", nowhere],
+        "sweep-plot-data": ["sweep", "--spec", spec, "--out", str(data), "--plot-data", nowhere],
+        "simulate": ["simulate", "--instance", inst_file, "--profile", prof_file,
+                     "--horizon", "2e6", "--out-csv", nowhere],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    assert f"cannot write {nowhere}" in capsys.readouterr().err
+    assert not data.exists()
