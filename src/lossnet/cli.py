@@ -47,11 +47,14 @@ def _writing(path: str):
         raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Reject an output path whose directory does not exist, before any work."""
-    for path in paths:
+def _check_writable(*paths: str | None, directory: str | None = None) -> None:
+    """Reject, before any work, an output path whose directory does not exist,
+    and an output `directory` that exists as something other than a directory."""
+    for path in (*paths, directory):
         if path is not None and not Path(path).parent.is_dir():
             raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+    if directory is not None and Path(directory).exists() and not Path(directory).is_dir():
+        raise InvalidInputError(f"cannot write {directory}: it is not a directory")
 
 
 def _load_instance(path: str) -> model.Instance:
@@ -218,7 +221,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_writable(args.out, args.plot_data)
+    _check_writable(args.out, directory=args.plot_data)
     spec = sweeps.spec_from_json(_load_json(args.spec))
     rows = sweeps.run_sweep(spec, cap=args.cap, threads=args.threads)
     with _writing(args.out):

@@ -29,9 +29,9 @@ place the profile-count cap is enforced; every exhaustive search walks its
 blocks.  A block is an (m, m, k) int64 array with the k profiles on the
 last, contiguous axis, so ``blk[i][j]`` is one count per profile and
 `link_rates` takes a block as it takes one flow.  Blocks are built from
-arrays of each row's compositions, joined by `_product`; a row is walked in
-Python, one composition at a time, only when the rows after it have more
-combinations than fit in a block.
+arrays of each row's compositions, joined by `_product`: the blocks of the
+leading rows, regrouped, are the heads that the last row's chunks are joined
+to, so no row is walked in Python one composition at a time.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -40,7 +40,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -194,16 +194,14 @@ class RoutingProfile:
 
 @dataclass(frozen=True)
 class TrafficSummary:
-    """Closed-form per-link and per-class quantities for one profile.
+    """Closed-form link rates and delivered rate for one profile.
 
-    ``class_loss_rate`` maps every (origin, relay) pair to the loss rate a
-    user of that class would see; the class need not be occupied.
+    ``t[i]`` is the offered rate on direct link i, so mu / (t[i] + mu) is the
+    link's no-congestion probability; `class_loss` gives any class's loss rate.
     """
 
     t: tuple[float, ...]
-    no_congestion_prob: tuple[float, ...]
     total_traffic: float
-    class_loss_rate: dict[tuple[int, int], float] = field(repr=False)
 
 
 def _check_index(idx: int, m: int, name: str) -> None:
@@ -288,15 +286,7 @@ def total_traffic(inst: Instance, prof: RoutingProfile) -> float:
 
 def summarize(inst: Instance, prof: RoutingProfile) -> TrafficSummary:
     t = traffic_rates(inst, prof)
-    mu, m = inst.mu, inst.m
-    return TrafficSummary(
-        t=t,
-        no_congestion_prob=tuple(mu / (ti + mu) for ti in t),
-        class_loss_rate={
-            (i, j): class_loss(inst, t, i, j, inst.phi) for i in range(m) for j in range(m)
-        },
-        total_traffic=delivered(inst, t),
-    )
+    return TrafficSummary(t=t, total_traffic=delivered(inst, t))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -334,8 +324,8 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     profiles, which come in `iter_profiles` order.  CapacityError (more
     profiles than `cap`) and InvalidInputError (a negative `cap`, or too many
     users for int64) are raised here, before any block is built.  A block
-    joins `per_block` consecutive heads (the leading m - 1 rows), regrouped
-    from the runs of `_runs`, with the last row: all of it when it is short,
+    joins `per_block` consecutive heads (the leading m - 1 rows, regrouped
+    from their own blocks) with the last row: all of it when it is short,
     one chunk of it when it is longer than BLOCK.
     """
     if inst.n >= 2**62:
@@ -344,28 +334,31 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     total = count_profiles(inst)
     if cap is not None and total > cap:
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")
-    m, counts = inst.m, inst.user_counts
-    per_block = max(1, BLOCK // math.comb(counts[-1] + m - 1, m - 1))
-    return _blocks(_runs(counts[:-1], m), per_block, counts[-1], m)
+    return _blocks(inst.user_counts, inst.m)
 
 
-def _blocks(runs, per_block: int, last: int, m: int) -> Iterator[np.ndarray]:
-    """Each group of `per_block` heads of the runs joined with every chunk of the last row.
+def _blocks(counts: tuple[int, ...], m: int) -> Iterator[np.ndarray]:
+    """Rows with these user counts, every combination ascending lex, as (len(counts), m, k) blocks.
 
-    A last row that fits in one block (per_block > 1) is built once.
+    The heads are the blocks of counts[:-1] (one empty head when no row is
+    left).  A last row that fits in one block (per_block > 1) is built once.
     """
-    tails = list(_row_chunks(last, m)) if per_block > 1 else None
-    for lead in _groups(runs, per_block):
-        for tail in tails or _row_chunks(last, m):
+    if not counts:
+        yield np.empty((0, m, 1), dtype=np.int64)
+        return
+    per_block = max(1, BLOCK // math.comb(counts[-1] + m - 1, m - 1))
+    tails = list(_row_chunks(counts[-1], m)) if per_block > 1 else None
+    for lead in _groups(_blocks(counts[:-1], m), per_block):
+        for tail in tails or _row_chunks(counts[-1], m):
             yield _product(lead, tail[None])
 
 
-def _groups(runs, size: int) -> Iterator[np.ndarray]:
-    """The columns of consecutive runs, `size` at a time; the last group may be short."""
+def _groups(blocks, size: int) -> Iterator[np.ndarray]:
+    """The columns of consecutive blocks, `size` at a time; the last group may be short."""
     parts, have = [], 0
-    for run in runs:
-        while run.shape[2]:
-            part, run = run[..., : size - have], run[..., size - have :]
+    for blk in blocks:
+        while blk.shape[2]:
+            part, blk = blk[..., : size - have], blk[..., size - have :]
             parts.append(part)
             have += part.shape[2]
             if have == size:
@@ -373,29 +366,6 @@ def _groups(runs, size: int) -> Iterator[np.ndarray]:
                 parts, have = [], 0
     if parts:
         yield np.concatenate(parts, axis=2)
-
-
-def _runs(counts: tuple[int, ...], m: int) -> Iterator[np.ndarray]:
-    """Rows with these user counts, every combination ascending lex, as (len(counts), m, k) runs.
-
-    When the rows after the first have at most BLOCK combinations, they form
-    one run, and the first row is cut into chunks whose product with it stays
-    within BLOCK; otherwise the first row is walked one composition at a
-    time, each joined with every run of the rest.  So k <= BLOCK.
-    """
-    if not counts:
-        yield np.empty((0, m, 1), dtype=np.int64)
-        return
-    rest = math.prod(math.comb(n + m - 1, m - 1) for n in counts[1:])
-    if rest <= BLOCK:
-        (tail,) = _runs(counts[1:], m)
-        for chunk in _row_chunks(counts[0], m, BLOCK // rest):
-            yield _product(chunk[None], tail)
-        return
-    for row in compositions(counts[0], m):
-        head = np.array(row, dtype=np.int64).reshape(1, m, 1)
-        for tail in _runs(counts[1:], m):
-            yield _product(head, tail)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,8 +380,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(ra + b.shape[0], m, -1)
 
 
-def _row_chunks(total: int, m: int, size: int = BLOCK) -> Iterator[np.ndarray]:
-    """compositions(total, m) as (m, k) int64 arrays of at most `size` columns.
+def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
+    """compositions(total, m) as (m, k) int64 arrays of at most BLOCK columns.
 
     The first m - 2 parts are walked in Python; the last two, (a, rest - a),
     come from one arange per walked prefix.
@@ -421,9 +391,9 @@ def _row_chunks(total: int, m: int, size: int = BLOCK) -> Iterator[np.ndarray]:
         return
     parts, have = [], 0
     for *prefix, rest in compositions(total, m - 1):
-        for start in range(0, rest + 1, size):
-            a = np.arange(start, min(rest + 1, start + size), dtype=np.int64)
-            if have + len(a) > size:
+        for start in range(0, rest + 1, BLOCK):
+            a = np.arange(start, min(rest + 1, start + BLOCK), dtype=np.int64)
+            if have + len(a) > BLOCK:
                 yield np.concatenate(parts, axis=1)
                 parts, have = [], 0
             piece = np.empty((m, len(a)), dtype=np.int64)

@@ -148,6 +148,17 @@ def test_dynamics_fixed_point_converges_immediately():
     assert res.profile == ne
 
 
+def test_dynamics_budget_exhausted_after_max_rounds():
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
+    start = ln.RoutingProfile(((0, 3), (2, 0)))
+    for seed in (0, 1, 2):
+        assert ln.best_response_dynamics(inst, start, max_rounds=100, seed=seed).rounds > 1
+        res = ln.best_response_dynamics(inst, start, max_rounds=1, seed=seed)
+        assert res.outcome == "budget-exhausted"
+        assert res.rounds == 1
+        assert res.profile.flow == ((1, 2), (1, 1))
+
+
 def test_dynamics_reaches_unique_equilibrium():
     inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
     starts = [

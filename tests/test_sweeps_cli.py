@@ -242,6 +242,14 @@ def test_cli_dynamics(inst_file, tmp_path, capsys):
     assert out["flow"] == [[3, 0], [0, 2]]
 
 
+def test_cli_dynamics_budget_exhausted(inst_file, tmp_path, capsys):
+    start = write_json(tmp_path / "start.json", {"flow": [[0, 3], [2, 0]]})
+    rc = cli.main(["dynamics", "--instance", inst_file, "--start", start, "--max-rounds", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"flow": [[1, 2], [1, 1]], "rounds": 1, "outcome": "budget-exhausted"}
+
+
 def test_cli_two_source(inst_file, capsys):
     rc = cli.main(["two-source", "--instance", inst_file, "scan"])
     assert rc == 0
@@ -253,6 +261,31 @@ def test_cli_two_source(inst_file, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["case"] == "4" and out["is_ne"] is True
+
+
+def test_cli_two_source_existence_and_corollaries_match_the_library(tmp_path, capsys):
+    inst = ln.Instance((5, 2), 1.0, 1.0, 0.0)
+    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    assert cli.main(["two-source", "--instance", inst_path, "existence"]) == 0
+    state = ln.construct_existence_ne(inst)
+    assert json.loads(capsys.readouterr().out) == {"u1": state.u1, "u2": state.u2}
+    assert cli.main(["two-source", "--instance", inst_path, "corollaries"]) == 0
+    assert json.loads(capsys.readouterr().out) == ln.check_corollaries(inst)
+
+
+def test_cli_enumerate_ne_to_stdout_matches_the_library(tmp_path, capsys):
+    inst = ln.Instance((3, 2, 2), 1.0, 1.0, 0.2)
+    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    assert cli.main(["enumerate-ne", "--instance", inst_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    nes = ln.enumerate_nash(inst)
+    assert lines[0] == "flow,u,v,tr" and len(lines) == len(nes) + 1 > 2
+    for line, (prof, summary) in zip(lines[1:], nes):
+        flat, u, v, tr = line.split(",")
+        assert [int(x) for x in flat.split()] == [x for row in prof.flow for x in row]
+        assert [int(x) for x in u.split()] == list(prof.u())
+        assert [int(x) for x in v.split()] == list(prof.v())
+        assert float(tr) == summary.total_traffic
 
 
 def test_cli_simulate_with_csv(inst_file, prof_file, tmp_path, capsys):
@@ -465,7 +498,9 @@ def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_p
     assert f"cannot write {path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["enumerate-ne", "sweep", "sweep-plot-data", "simulate"])
+@pytest.mark.parametrize(
+    "command", ["enumerate-ne", "sweep", "sweep-plot-data", "sweep-plot-data-file", "simulate"]
+)
 def test_cli_missing_output_directory_fails_before_any_work(
     inst_file, prof_file, tmp_path, capsys, monkeypatch, command
 ):
@@ -481,14 +516,18 @@ def test_cli_missing_output_directory_fails_before_any_work(
          "axis": "q", "grid": [0.5]},
     )
     nowhere = str(tmp_path / "no-such-dir" / "x.csv")
+    a_file = str(tmp_path / "spec.json")  # exists, and cannot hold the plot files
     data = tmp_path / "data.csv"
-    argv = {
-        "enumerate-ne": ["enumerate-ne", "--instance", inst_file, "--out", nowhere],
-        "sweep": ["sweep", "--spec", spec, "--out", nowhere],
-        "sweep-plot-data": ["sweep", "--spec", spec, "--out", str(data), "--plot-data", nowhere],
-        "simulate": ["simulate", "--instance", inst_file, "--profile", prof_file,
-                     "--horizon", "2e6", "--out-csv", nowhere],
+    argv, path = {
+        "enumerate-ne": (["enumerate-ne", "--instance", inst_file, "--out", nowhere], nowhere),
+        "sweep": (["sweep", "--spec", spec, "--out", nowhere], nowhere),
+        "sweep-plot-data": (
+            ["sweep", "--spec", spec, "--out", str(data), "--plot-data", nowhere], nowhere),
+        "sweep-plot-data-file": (
+            ["sweep", "--spec", spec, "--out", str(data), "--plot-data", a_file], a_file),
+        "simulate": (["simulate", "--instance", inst_file, "--profile", prof_file,
+                      "--horizon", "2e6", "--out-csv", nowhere], nowhere),
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
-    assert f"cannot write {nowhere}" in capsys.readouterr().err
+    assert f"cannot write {path}" in capsys.readouterr().err
     assert not data.exists()
