@@ -49,12 +49,17 @@ def _writing(path: str):
 
 def _check_writable(*paths: str | None, directory: str | None = None) -> None:
     """Reject, before any work, an output path whose directory does not exist,
-    and an output `directory` that exists as something other than a directory."""
+    an output `directory` that exists as something other than a directory,
+    and an output `directory` that is also one of the file `paths`."""
     for path in (*paths, directory):
         if path is not None and not Path(path).parent.is_dir():
             raise InvalidInputError(f"cannot write {path}: its directory does not exist")
-    if directory is not None and Path(directory).exists() and not Path(directory).is_dir():
+    if directory is None:
+        return
+    if Path(directory).exists() and not Path(directory).is_dir():
         raise InvalidInputError(f"cannot write {directory}: it is not a directory")
+    if any(p is not None and Path(p).resolve() == Path(directory).resolve() for p in paths):
+        raise InvalidInputError(f"cannot write {directory}: it is also an output file")
 
 
 def _load_instance(path: str) -> model.Instance:

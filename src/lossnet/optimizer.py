@@ -15,16 +15,15 @@ Flow rule: lay the donors' spare users on one line in index order, and the
 receivers' relayed users likewise; donor i sends receiver j the users where
 their two intervals overlap (`_flow`).
 
-The solver scans every split position and every total number of relayed
-users B, extracts the B users from the donor prefix so the donors' direct
-loads stay as equal as possible, and spreads them over the receiver suffix so
-the receivers' offered loads stay as equal as possible.  Both balancing rules
-are exact greedy minimizers of the convex per-link blocking sum; for a fixed
-split each pops users in one fixed sorted order, so every B is read off one
-cumulative sum.
-
-The solver keeps that blocking-sum form, not `model.delivered`, on purpose:
-its all-direct seed and its cumsum must round alike.
+The solver scans every split position.  Within a split, relayed users are
+popped one at a time: donors give them up from the largest direct load down
+and receivers take them at the smallest offered load, so the donors' direct
+loads stay as equal as possible and so do the receivers' offered loads.  Both
+balancing rules are exact greedy minimizers of the convex per-link blocking
+sum.  Each pop gains less than the one before, so the split's best number of
+relayed users B is the last pop that gains.  The loads of any one pop are
+water levels, found in O(m) from the counts, so no split lists its pops and
+the memory used does not grow with the user counts.
 
 `brute_force_optimal` evaluates every routing profile, block by block from
 `model.profile_blocks`, with `model`'s traffic formula, and is the ground
@@ -33,14 +32,14 @@ truth the solver is validated against on small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks
-from .model import sum_left, total_traffic
+from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks, total_traffic
 
 #: Relative window within which two total-traffic values count as tied.
 _TIE_REL = 1e-12
@@ -86,75 +85,166 @@ def _flow(counts, u, v) -> list[list[int]]:
     spare = [n - d for n, d in zip(counts, u)]
     if sum(spare) != sum(v) or any(s > 0 and r > 0 for s, r in zip(spare, v)):
         raise InternalCheckError(f"aggregates not realizable: u={u} v={v} counts={counts}")
-    rows = [
-        [max(0, min(d_end, r_end) - max(d_end - d_len, r_end - r_len))
-         for r_end, r_len in zip(accumulate(v), v)]
-        for d_end, d_len in zip(accumulate(spare), spare)
-    ]
-    for i, row in enumerate(rows):
-        row[i] = u[i]
+    rows = [[0] * len(counts) for _ in counts]
+    for i, d in enumerate(u):
+        rows[i][i] = d
+    # Overlaps do not depend on the end the walk starts from; from the far
+    # ends, each step fills one and uses up a donor or a receiver.
+    gives = [[i, s] for i, s in enumerate(spare) if s]
+    takes = [[j, r] for j, r in enumerate(v) if r]
+    while gives:
+        give, take = gives[-1], takes[-1]
+        step = min(give[1], take[1])
+        rows[give[0]][take[0]] = step
+        give[1] -= step
+        take[1] -= step
+        if not give[1]:
+            gives.pop()
+        if not take[1]:
+            takes.pop()
     return rows
+
+
+def _donor_pop(donors, b: int) -> tuple[int, int, int]:
+    """(level, k, j): the b-th donor pop takes a user off a direct load of `level`.
+
+    Donors give users up from the largest direct load down, one per donor
+    with n_l >= L at each level L, in index order, so sum over n_l >= L of
+    (n_l - L + 1) pops reach level L.  The b-th pop is at the largest L with
+    at least b of them; there the first k donors are at or above L, and it
+    is the j-th pop of its level.  `donors` is non-increasing.
+    """
+    total = 0
+    for k, n in enumerate(donors, 1):
+        total += n
+        below = donors[k] if k < len(donors) else 0
+        if total - k * below >= b:
+            level = (total - b) // k + 1
+            return level, k, b - (total - k * level)
+    raise InternalCheckError(f"pop {b} exceeds the donors' {total} users")
+
+
+def _receiver_pops(counts, qbar: float, b: int) -> tuple[list[int], float]:
+    """(takes, load): each receiver's share of the first b receiver pops, and the b-th pop's load.
+
+    Receiver r takes its k-th relayed user (k = 0, 1, ...) at the load
+    counts[r] + k*qbar, in users; its offered rate plus mu is that load times
+    phi plus mu.  Pops go by (load, r); qbar > 0 and `counts` is
+    non-increasing.  The water level is where the receivers below it would
+    hold b - 1/2 pops if pops were real numbers, so in exact arithmetic
+    between b - p and b - 1 loads of those p receivers lie at or below it.
+    Each receiver counts its loads at or below the level exactly, and a heap
+    of one load per receiver moves the count to b: up by the smallest loads
+    above, or, where loads rounded onto the level, down by the largest below.
+    """
+    if len(counts) == 1:
+        return [b], counts[0] + (b - 1) * qbar
+    spent = 0
+    for p, n in enumerate(reversed(counts), 1):
+        spent += n
+        level = (qbar * (b - p - 0.5) + spent) / p
+        if p == len(counts) or counts[-p - 1] > level:
+            break
+    takes = []
+    for n in counts:
+        k = max(0, math.floor((level - n) / qbar) + 1)
+        while k and n + (k - 1) * qbar > level:
+            k -= 1
+        while n + k * qbar <= level:
+            k += 1
+        takes.append(k)
+    extra = sum(takes) - b + 1
+    if extra > 0:
+        heap = [(-(n + (k - 1) * qbar), -r) for r, (n, k) in enumerate(zip(counts, takes)) if k]
+        heapify(heap)
+        for _ in range(extra):
+            r = -heappop(heap)[1]
+            takes[r] -= 1
+            if takes[r]:
+                heappush(heap, (-(counts[r] + (takes[r] - 1) * qbar), -r))
+    heap = [(n + k * qbar, r) for r, (n, k) in enumerate(zip(counts, takes))]
+    heapify(heap)
+    for _ in range(b - sum(takes)):
+        load, r = heappop(heap)
+        takes[r] += 1
+        heappush(heap, (counts[r] + takes[r] * qbar, r))
+    return takes, load
+
+
+def _last_gain(donors, receivers, phi: float, mu: float, qbar: float) -> int:
+    """The last pop b in 1..sum(donors) that raises the traffic, or 0 if none does.
+
+    Pop b moves a user off donor load d (`_donor_pop`) onto receiver load k
+    (`_receiver_pops`): the donor's rate plus mu goes from Y = d*phi + mu to
+    X = (d - 1)*phi + mu, the receiver's from r = k*phi + mu to
+    r2 = (k + qbar)*phi + mu.  The pop gains iff phi*r*r2 < qbar*phi*X*Y, and
+    at an exact tie of integer loads (q = 0, r = X, r2 = Y) both sides round
+    alike.  Each side is monotone in b, so the pops that gain are a prefix
+    and a binary search finds its end.
+    """
+    c = qbar * phi
+
+    def gains(d, k):
+        receiver = phi * (k * phi + mu) * ((k + qbar) * phi + mu)
+        return receiver < c * ((d - 1) * phi + mu) * (d * phi + mu)
+
+    # Pop 1 takes the largest donor's user onto the smallest receiver; testing
+    # it first keeps qbar = 0 (q = 1, where no pop gains) out of `_receiver_pops`.
+    if not gains(donors[0], receivers[-1]):
+        return 0
+    lo, hi = 1, sum(donors) + 1  # pop lo gains, pop hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gains(_donor_pop(donors, mid)[0], _receiver_pops(receivers, qbar, mid)[1]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def solve_optimal(inst: Instance) -> OptimalSolution:
     """Maximize total delivered rate over all pure routing profiles.
 
-    For a split with B donor users, the balancing rules pop users in one fixed
-    order: donors give them up at direct loads n_l, n_l - 1, ..., 1 by (largest
-    load, lowest index), receivers take them at offered loads n_r*phi + mu,
-    then qbar*phi more per user, by (smallest load, lowest index).  So each split
-    is two stable sorts, one cumsum and one argmax: O((m - split) * B * log n)
-    time and O((m - split) * B) floats, where a heap merge needs O(m) memory
-    but B Python steps.  Ties are broken deterministically: the all-direct
-    seed candidate wins exact ties, then lower split position, then lower B.
+    For each split, donors give users up at direct loads n_l, n_l - 1, ...,
+    1 by (largest load, lowest index), and receivers take them at loads
+    n_r, n_r + qbar, n_r + 2*qbar, ... users by (smallest load, lowest
+    index).  The split's candidate relays the pops up to `_last_gain`'s and
+    is scored by `model.delivered` on `model.link_rates` of its flow, in the
+    instance's source order, which is how `model.total_traffic` sets the
+    returned tr.  No pop gains at q = 1.
+
+    Time O(m^2 (m + log m log n)) for n users and memory O(m^2), for the
+    flow matrices; no list grows with a user count.  Ties are broken
+    deterministically: the all-direct seed wins exact ties, then the lower
+    split position; within a split a pop that gains nothing is not taken,
+    so the lower B wins.
     """
     canon, perm = inst.canonicalized()
     counts = canon.user_counts
     m, phi, mu, qbar = canon.m, canon.phi, canon.mu, canon.qbar
+    # Candidates are scored in the instance's source order: inv[i] is source i's canonical slot.
+    inv = sorted(range(m), key=perm.__getitem__)
 
-    # Seed with the all-direct profile; the loop below never evaluates B = 0.
-    best_u = list(counts)
-    best_v = [0] * m
-    best_tr = mu * m - mu * sum_left(mu / (c * phi + mu) for c in counts)
+    def scored(u, v):
+        flow = _flow(counts, u, v)
+        flow = [[flow[i][j] for j in inv] for i in inv]
+        return delivered(inst, link_rates(inst, flow)), flow
+
+    best_tr, best_flow = scored(counts, [0] * m)
     best_split, best_b = m, 0
-
     # split == m leaves no receivers: only the all-direct case, already seeded.
     for split in range(1, m):
         donors, receivers = counts[:split], counts[split:]
-        big_b = sum(donors)
-        # Donor l pops at direct loads n_l, n_l - 1, ..., 1, flattened by (l, pop).
-        d_src = np.repeat(np.arange(split), donors)
-        d_load = np.repeat(np.cumsum(donors), donors) - np.arange(big_b)
-        d_pop = np.argsort(-d_load, kind="stable")
-        # Receiver r's offered loads as iterated sums, B + 1 per row; a row's
-        # last entry is never among the first B pops.
-        loads = np.full((len(receivers), big_b + 1), qbar * phi)
-        loads[:, 0] = np.array(receivers) * phi + mu
-        r_load = np.cumsum(loads, axis=1, out=loads).ravel()
-        r_pop = np.argsort(r_load, kind="stable")[:big_b]
-        # Pop b changes the blocking sum by four terms, summed in this order
-        # after the seed, so every tr matches applying the pops one by one.
-        d_old = d_load[d_pop]
-        acc = np.empty(4 * big_b + 1)
-        acc[0] = sum_left(mu / (c * phi + mu) for c in donors)
-        acc[0] += sum_left(mu / (c * phi + mu) for c in receivers)
-        acc[1::4] = -(mu / (d_old * phi + mu))
-        acc[2::4] = mu / ((d_old - 1) * phi + mu)
-        acc[3::4] = -(mu / r_load[r_pop])
-        acc[4::4] = mu / r_load[r_pop + 1]
-        tr = mu * m - mu * np.cumsum(acc, out=acc)[4::4]
-        k = int(np.argmax(tr))
-        if tr[k] > best_tr:
-            took = np.bincount(r_pop[: k + 1] // (big_b + 1), minlength=len(receivers))
-            best_u = np.bincount(d_src[d_pop[k + 1:]], minlength=split).tolist()
-            best_u += list(receivers)
-            best_v = [0] * split + took.tolist()
-            best_tr, best_split, best_b = tr[k], split, k + 1
+        big_b = _last_gain(donors, receivers, phi, mu, qbar)
+        if not big_b:
+            continue
+        level, k, j = _donor_pop(donors, big_b)
+        u = [level - 1] * j + [level] * (k - j) + list(counts[k:])
+        tr, flow = scored(u, [0] * split + _receiver_pops(receivers, qbar, big_b)[0])
+        if tr > best_tr:
+            best_tr, best_flow, best_split, best_b = tr, flow, split, big_b
 
-    # Relabel to the instance's source order: inv[i] is source i's canonical slot.
-    inv = sorted(range(m), key=perm.__getitem__)
-    flow = _flow(counts, best_u, best_v)
-    profile = RoutingProfile(tuple(tuple(flow[a][c] for c in inv) for a in inv))
+    profile = RoutingProfile(best_flow)
     return OptimalSolution(
         u=profile.u(),
         v=profile.v(),

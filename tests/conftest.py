@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: seeded random instances and profiles,
-and the three-way agreement check on one two-source state."""
+the exact-rational traffic of a flow, and the three-way agreement check on
+one two-source state."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import lossnet as ln
 from lossnet.two_source import TwoSourceState, classify
@@ -30,6 +32,21 @@ def random_profile(rng: random.Random, inst: ln.Instance) -> ln.RoutingProfile:
             row[rng.randrange(inst.m)] += 1
         rows.append(tuple(row))
     return ln.RoutingProfile(tuple(rows))
+
+
+def exact_traffic(inst: ln.Instance, flow) -> Fraction:
+    """The total delivered rate of `flow` in exact rational arithmetic.
+
+    phi, mu and q are parsed from their shortest decimal repr, so q = 0.3
+    means 3/10 and not the binary double nearest it.
+    """
+    phi, mu, q = (Fraction(str(x)) for x in (inst.phi, inst.mu, inst.q))
+    total = Fraction(0)
+    for j, row in enumerate(flow):
+        relayed = sum(r[j] for i, r in enumerate(flow) if i != j)
+        t = phi * (row[j] + (1 - q) * relayed)
+        total += t * mu / (t + mu)
+    return total
 
 
 def count_shapes(max_m: int, max_total: int) -> list[tuple[int, ...]]:

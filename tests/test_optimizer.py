@@ -1,14 +1,21 @@
 import functools
 import itertools
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import lossnet as ln
 from lossnet.errors import CapacityError, InternalCheckError
-from lossnet.optimizer import OptimalSolution, _flow, _splits
+from lossnet.optimizer import OptimalSolution, _donor_pop, _flow, _receiver_pops, _splits
 
-from conftest import random_instance
+from conftest import exact_traffic, random_instance
+
+#: Property tests draw the same examples on every run and keep no database.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_frozen_optimum_4_1():
@@ -44,6 +51,15 @@ def test_q0_balances_loads():
         assert max(y) - min(y) <= 1
 
 
+@pytest.mark.parametrize("phi", [1.0, 0.3, 1 / 3, 2.8248423680172383])
+@pytest.mark.parametrize("mu", [0.1, 1.0, 7.0])
+def test_q0_pop_that_only_swaps_loads_is_not_taken(phi, mu):
+    # At q = 0 the third pop moves direct loads (6, 5) to (5, 6): it gains
+    # nothing in exact arithmetic, and the tie rule keeps the lower B.
+    sol = ln.solve_optimal(ln.Instance((8, 3), phi, mu, 0.0))
+    assert (sol.b, sol.profile.flow) == (2, ((6, 2), (0, 3)))
+
+
 @pytest.mark.parametrize(
     "counts, mu, q, u, v, flow, threshold, b, tr",
     [
@@ -58,9 +74,10 @@ def test_q0_balances_loads():
         ((12, 2, 12, 2, 2), 1.0, 0.1, (6, 2, 6, 2, 2), (0, 4, 0, 4, 4),
          ((6, 4, 0, 2, 0), (0, 2, 0, 0, 0), (0, 0, 6, 2, 4), (0, 0, 0, 2, 0),
           (0, 0, 0, 0, 2)), 2, 12, 4.259740259740259),
-        # Heavy traffic.
-        ((10**6, 10**5), 10.0, 0.3, (520612, 100000), (0, 479388),
-         ((520612, 479388), (0, 100000)), 1, 479388, 19.999578343953555),
+        # Heavy traffic: B = 479,389 beats 479,388 by 2.1e-15 in exact
+        # arithmetic (test_heavy_traffic_frozen_row_is_the_exact_optimum).
+        ((10**6, 10**5), 10.0, 0.3, (520611, 100000), (0, 479389),
+         ((520611, 479389), (0, 100000)), 1, 479389, 19.99957834395356),
     ],
 )
 def test_solve_optimal_frozen_output(counts, mu, q, u, v, flow, threshold, b, tr):
@@ -238,3 +255,101 @@ def test_flow_lays_donors_over_receivers_in_index_order():
 def test_flow_rejects_unrealizable_aggregates(counts, u, v):
     with pytest.raises(InternalCheckError, match="not realizable"):
         _flow(counts, u, v)
+
+
+def test_heavy_traffic_frozen_row_is_the_exact_optimum():
+    # The frozen row's B against its two neighbours, in exact arithmetic.
+    inst = ln.Instance((10**6, 10**5), 1.0, 10.0, 0.3)
+    sol = ln.solve_optimal(inst)
+    best = exact_traffic(inst, sol.profile.flow)
+    for b in (sol.b - 1, sol.b + 1):
+        flow = ((10**6 - b, b), (0, 10**5))
+        assert exact_traffic(inst, flow) < best, b
+
+
+def _donor_pops_by_sorting(donors, b):
+    """(load, u): the b-th donor pop's direct load and each donor's direct
+    users after b pops, from every pop listed and stably sorted."""
+    load = np.repeat(np.cumsum(donors), donors) - np.arange(sum(donors))
+    order = np.argsort(-load, kind="stable")
+    src = np.repeat(np.arange(len(donors)), donors)
+    return int(load[order[b - 1]]), np.bincount(src[order[b:]], minlength=len(donors)).tolist()
+
+
+def _receiver_pops_by_sorting(counts, qbar, b):
+    """(takes, load): as `_receiver_pops`, from the first b + 1 loads of every
+    receiver listed and stably sorted."""
+    loads = (np.asarray(counts)[:, None] + np.arange(b + 1) * qbar).ravel()
+    order = np.argsort(loads, kind="stable")[:b]
+    return np.bincount(order // (b + 1), minlength=len(counts)).tolist(), float(loads[order[-1]])
+
+
+def _non_increasing_counts(most):
+    """1 to 4 non-increasing user counts, summing to at most `most`."""
+    return st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.integers(1, most // k), min_size=k, max_size=k)
+    ).map(lambda counts: sorted(counts, reverse=True))
+
+
+@PROPERTY
+@given(donors=_non_increasing_counts(10**6), data=st.data())
+def test_donor_pop_matches_the_sorted_pops(donors, data):
+    b = data.draw(st.integers(1, sum(donors)), label="b")
+    level, k, j = _donor_pop(donors, b)
+    u = [level - 1] * j + [level] * (k - j) + donors[k:]
+    assert (level, u) == _donor_pops_by_sorting(donors, b)
+
+
+@PROPERTY
+@given(
+    counts=_non_increasing_counts(10**6),
+    q=st.floats(0.0, 0.999),
+    # At 2**56 users consecutive doubles are 16 apart, so loads round onto
+    # plateaus and the level's exact count can overshoot b.
+    offset=st.sampled_from([0, 2**56]),
+    data=st.data(),
+)
+def test_receiver_pops_match_the_sorted_loads(counts, q, offset, data):
+    qbar = 1.0 - q
+    assume(offset == 0 or qbar >= 0.1)
+    counts = [n + offset for n in counts]
+    b = data.draw(st.integers(1, 10**6 // len(counts)), label="b")
+    assert _receiver_pops(counts, qbar, b) == _receiver_pops_by_sorting(counts, qbar, b)
+
+
+@PROPERTY
+@given(
+    counts=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    phi=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+    mu=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 10.0]), st.floats(0.1, 100.0)),
+    q=st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_solve_optimal_matches_brute_force(counts, phi, mu, q):
+    # Where the two maximizers differ, exact arithmetic must call the
+    # solver's at least as good: a tie, or a float tie the brute force broke
+    # towards more direct users.
+    inst = ln.Instance(tuple(counts), phi, mu, q)
+    assume(ln.count_profiles(inst) <= 20_000)
+    sol, ref = ln.solve_optimal(inst), ln.brute_force_optimal(inst)
+    assert ln.check_optimal_structure(sol) == []
+    assert exact_traffic(inst, sol.profile.flow) >= exact_traffic(inst, ref.profile.flow)
+
+
+@pytest.mark.parametrize("counts, mu", [
+    ((10**8, 10**7), 10.0),
+    (tuple(random.Random(4).randint(900, 1100) for _ in range(100)), 10.0),
+])
+def test_solve_optimal_at_heavy_traffic_is_small_and_fast(counts, mu):
+    # Memory and time do not grow with the user counts: no per-user array.
+    inst = ln.Instance(counts, 1.0, mu, 0.3)
+    start = time.perf_counter()
+    sol = ln.solve_optimal(inst)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        again = ln.solve_optimal(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1e6
+    assert again == sol and ln.check_optimal_structure(sol) == []

@@ -496,6 +496,7 @@ def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_p
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
     assert f"cannot write {path}" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()  # rejected before any work
 
 
 @pytest.mark.parametrize(

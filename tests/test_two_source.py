@@ -210,8 +210,9 @@ def test_scan_and_poa_at_heavy_traffic(counts, mu, q):
     finally:
         tracemalloc.stop()
     assert scan_s < 1.0 and scan_peak < 64e6
-    # poa_report adds solve_optimal, which holds O(n1) floats itself.
-    assert poa_s < 2.0 and poa_peak < 160e6
+    # poa_report adds solve_optimal, whose memory does not grow with the
+    # user counts, and one traffic value per state to the scan.
+    assert poa_s < 2.0 and poa_peak < scan_peak + 1e6
     assert states == sorted(states, key=lambda s: (s.u1, s.u2))
     assert report.ne_count == len(states)
     assert report.tr_worst_ne == min(ln.total_traffic(inst, s.expand(inst)) for s in states)
