@@ -89,6 +89,11 @@ class Instance:
             raise InvalidInputError(f"mu must be a positive finite real, got {self.mu!r}")
         if not (0.0 <= self.q <= 1.0):
             raise InvalidInputError(f"q must lie in [0, 1], got {self.q!r}")
+        for name, value in (("n*phi*mu", self.n * self.phi * self.mu),
+                            ("n*phi**2", self.n * self.phi * self.phi),
+                            ("q*mu/phi", self.q * self.mu / self.phi)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} overflows the float rate arithmetic")
 
     @property
     def m(self) -> int:

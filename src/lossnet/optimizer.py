@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, InvalidInputError
 from .model import Instance, RoutingProfile, delivered, link_rates, profile_blocks, total_traffic
 
 #: Relative window within which two total-traffic values count as tied.
@@ -217,8 +217,13 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     flow matrices; no list grows with a user count.  Ties are broken
     deterministically: the all-direct seed wins exact ties, then the lower
     split position; within a split a pop that gains nothing is not taken,
-    so the lower B wins.
+    so the lower B wins.  An instance whose gain test would overflow a
+    float is rejected before any work.
     """
+    load = inst.n * inst.phi + inst.mu
+    if not math.isfinite(inst.phi * load * load):
+        raise InvalidInputError("phi*(n*phi + mu)**2, the size of the gain test, "
+                                "overflows the float rate arithmetic")
     canon, perm = inst.canonicalized()
     counts = canon.user_counts
     m, phi, mu, qbar = canon.m, canon.phi, canon.mu, canon.qbar

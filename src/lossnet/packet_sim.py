@@ -20,20 +20,18 @@ by memorylessness the service in progress has a fresh exponential(mu)
 residual, independent of the past; so arrival k is accepted exactly when a
 residual drawn for it is at most the gap since arrival k - 1, independently
 given the times.  Each link carries its last arrival time across window
-edges (-inf at the start: the link starts idle).  The class labels of a
-link's arrivals do not depend on acceptance, so the delivered count of each
-class, given the link's accepted total, is multivariate hypergeometric over
-the counts that reached the link.  Memory is O(WINDOW) at any horizon.
+edges and starts stationary: its Poisson stream of rate T_j had its last
+arrival before time 0 an exponential(T_j) gap back (-inf if T_j = 0), so
+every packet on [0, horizon) is counted, unbiased at any horizon.  The class
+labels of a link's arrivals do not depend on acceptance, so the delivered
+count of each class, given the link's accepted total, is multivariate
+hypergeometric over the counts that reached the link.  Memory is O(WINDOW)
+at any horizon.
 
 Randomness is split into one independent child stream per class (counts and
-sidelink trials) and per link (times, residuals and the class split), all
-spawned deterministically from the master seed, so outcomes are bit-for-bit
-reproducible and independent runs can execute concurrently.
-
-The first 1% of the horizon is a warm-up run of its own windows: it is
-simulated, so each link enters the counted span busy or idle as it would be,
-but its packets are never counted, which removes the initial-idle bias; the
-analytic targets are stationary quantities.
+sidelink trials) and per link (its start, times, residuals and the class
+split), all spawned deterministically from the master seed, so outcomes are
+bit-for-bit reproducible and independent runs can execute concurrently.
 """
 
 from __future__ import annotations
@@ -44,9 +42,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Instance, RoutingProfile, class_loss, sum_left, traffic_rates
+from .model import Instance, RoutingProfile, class_loss, link_rates, sum_left, traffic_rates
 
-WARMUP_FRACTION = 0.01
 #: Expected packets per arrival window, over all classes.
 WINDOW = 1 << 16
 
@@ -96,7 +93,8 @@ def _accepted(rng: np.random.Generator, times: np.ndarray, last: float, mu: floa
 
     The link is busy just after each arrival, with a fresh exponential(mu)
     residual service, so arrival k is accepted when the residual drawn for
-    it is at most times[k] - times[k - 1].  `last` is -inf on an idle link.
+    it is at most times[k] - times[k - 1].  `last` is -inf on a link that
+    has never had an arrival.
     """
     return rng.exponential(1.0 / mu, times.shape[0]) <= np.diff(times, prepend=last)
 
@@ -105,7 +103,6 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     """Deterministic (per seed) packet-level run of one routing profile."""
     inst, prof = cfg.instance, cfg.profile
     m, mu, q = inst.m, inst.mu, inst.q
-    warmup = WARMUP_FRACTION * cfg.horizon
 
     classes = [(i, r) for i in range(m) for r in range(m) if prof.flow[i][r] >= 1]
     nc = len(classes)
@@ -115,27 +112,26 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     class_rngs, link_rngs = rngs[:nc], rngs[nc:]
 
     rates = [prof.flow[i][r] * inst.phi for i, r in classes]
-    reach = np.zeros(nc, dtype=np.int64)
-    last = [-math.inf] * m
-    for lo, hi in ((0.0, warmup), (warmup, cfg.horizon)):
-        # The counters restart after the warm-up span: it is simulated, never counted.
-        generated, reached, delivered = (np.zeros(nc, dtype=np.int64) for _ in range(3))
-        windows = math.ceil((hi - lo) * sum_left(rates) / WINDOW)
-        for w in range(windows):
-            t0, t1 = lo + (hi - lo) * w / windows, lo + (hi - lo) * (w + 1) / windows
-            for k, (i, r) in enumerate(classes):
-                n = class_rngs[k].poisson(rates[k] * (t1 - t0))
-                generated[k] += n
-                reach[k] = n if r == i else class_rngs[k].binomial(n, 1.0 - q)
-            reached += reach
-            for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
-                feeds = reach[ks]
-                times = rng.uniform(t0, t1, int(feeds.sum()))
-                times.sort()
-                n_acc = int(np.count_nonzero(_accepted(rng, times, last[j], mu)))
-                if times.shape[0]:
-                    last[j] = float(times[-1])
-                delivered[ks] += rng.multivariate_hypergeometric(feeds, n_acc)
+    # Each link's last arrival before time 0, in the stationary process.
+    last = [-rng.exponential(1.0 / t) if t > 0 else -math.inf
+            for rng, t in zip(link_rngs, link_rates(inst, prof.flow))]
+    generated, reach, reached, delivered = (np.zeros(nc, dtype=np.int64) for _ in range(4))
+    windows = math.ceil(cfg.horizon * sum_left(rates) / WINDOW)
+    for w in range(windows):
+        t0, t1 = cfg.horizon * w / windows, cfg.horizon * (w + 1) / windows
+        for k, (i, r) in enumerate(classes):
+            n = class_rngs[k].poisson(rates[k] * (t1 - t0))
+            generated[k] += n
+            reach[k] = n if r == i else class_rngs[k].binomial(n, 1.0 - q)
+        reached += reach
+        for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
+            feeds = reach[ks]
+            times = rng.uniform(t0, t1, int(feeds.sum()))
+            times.sort()
+            n_acc = int(np.count_nonzero(_accepted(rng, times, last[j], mu)))
+            if times.shape[0]:
+                last[j] = float(times[-1])
+            delivered[ks] += rng.multivariate_hypergeometric(feeds, n_acc)
 
     per_link: dict[int, LinkCounts] = {}
     for j, ks in enumerate(on_link):
@@ -149,7 +145,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
                        int(reached[k] - delivered[k]), int(delivered[k]))
         for k, c in enumerate(classes)
     }
-    return SimOutcome(per_class, per_link, int(delivered.sum()) / (cfg.horizon - warmup))
+    return SimOutcome(per_class, per_link, int(delivered.sum()) / cfg.horizon)
 
 
 @dataclass(frozen=True)

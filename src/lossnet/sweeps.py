@@ -12,7 +12,7 @@ files.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
@@ -90,7 +90,7 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
             pass  # equilibrium columns stay "na"
     if rep is not None:
         row["ne_count"] = rep.ne_count
-        values = asdict(rep)
+        values = {out: getattr(rep, out) for out in spec.outputs}
     else:
         values = {"poa_bound": poa_bound(inst)}
         if "tr_opt" in spec.outputs:

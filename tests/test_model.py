@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 
 import numpy as np
@@ -261,6 +262,18 @@ def test_counts_beyond_float_arithmetic_are_rejected():
         ln.Instance((10**400, 1), 1.0, 1.0, 0.5)
     inst = ln.Instance((2**1022, 1), 1.0, 1.0, 0.5)
     assert not ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst)).is_ne
+
+
+@pytest.mark.parametrize("counts, phi, mu, product", [
+    ((3, 2), 1e308, 1e308, "n*phi*mu"),
+    ((10**155, 10**154), 1.0, 1e155, "n*phi*mu"),
+    ((3, 2), 1e200, 1e-200, "n*phi**2"),
+    ((3, 2), 1e-308, 1e308, "q*mu/phi"),
+])
+def test_products_beyond_float_arithmetic_are_rejected(counts, phi, mu, product):
+    # Each factor is finite; the product formed from them is not.
+    with pytest.raises(InvalidInputError, match=re.escape(product)):
+        ln.Instance(counts, phi, mu, 0.5)
 
 
 def test_instance_json_round_trip():

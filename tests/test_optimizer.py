@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lossnet as ln
-from lossnet.errors import CapacityError, InternalCheckError
+from lossnet import optimizer
+from lossnet.errors import CapacityError, InternalCheckError, InvalidInputError
 from lossnet.optimizer import OptimalSolution, _donor_pop, _flow, _receiver_pops, _splits
 
 from conftest import exact_traffic, random_instance
@@ -353,3 +354,24 @@ def test_solve_optimal_at_heavy_traffic_is_small_and_fast(counts, mu):
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 1e6
     assert again == sol and ln.check_optimal_structure(sol) == []
+
+
+def test_gain_test_overflow_is_rejected_before_any_work(monkeypatch):
+    # n*phi*mu is finite here, but phi*(n*phi + mu)**2, the size of the
+    # product-form gain test, is not.  Solved anyway, this returns 8% less
+    # traffic than the scale-equivalent instance with mu = 1.
+    def no_search(*args):
+        raise AssertionError("the gain test ran")
+
+    monkeypatch.setattr(optimizer, "_last_gain", no_search)
+    inst = ln.Instance((12 * 10**153, 12 * 10**152), 1.0, 1.2e154, 0.3)
+    with pytest.raises(InvalidInputError, match="gain test"):
+        ln.solve_optimal(inst)
+
+
+def test_largest_loads_solve_like_their_scale_equivalent():
+    # Scaling phi and mu by one factor scales the traffic and keeps the optimum.
+    big = ln.solve_optimal(ln.Instance((10**150, 10**149), 1.0, 1e150, 0.3))
+    unit = ln.solve_optimal(ln.Instance((10**150, 10**149), 1e-150, 1.0, 0.3))
+    assert big.b == pytest.approx(unit.b, rel=1e-12)
+    assert big.tr == pytest.approx(unit.tr * 1e150, rel=1e-12)

@@ -127,16 +127,35 @@ def test_config_validation():
         ln.SimConfig(inst, bad_prof, 10.0, 1)
 
 
-def test_warmup_excluded_from_counters():
-    # With a warmup slice of 1%, counted arrivals must undershoot the raw
-    # expectation accordingly (within 5 sigma of the thinned mean).
+def test_generated_counts_cover_the_whole_horizon():
+    # Every simulated packet is counted: each class's generated count is
+    # Poisson with mean rate * horizon (within 5 sigma).
     cfg = small_cfg(horizon=100_000.0, seed=31)
     out = ln.simulate(cfg)
-    span = cfg.horizon * (1.0 - 0.01)
     for (i, r), c in out.per_class.items():
         rate = cfg.profile.flow[i][r] * cfg.instance.phi
-        mean = rate * span
+        mean = rate * cfg.horizon
         assert abs(c.generated - mean) <= 5.0 * math.sqrt(mean)
+
+
+@pytest.mark.parametrize("counts, flow, horizon, seeds", [
+    ((3, 2), ((2, 1), (0, 2)), 2.0, 600),
+    ((1,), ((1,),), 4.0, 4_000),
+])
+def test_short_runs_start_stationary(counts, flow, horizon, seeds):
+    # Each run is too short to forget an idle start, so only links that start
+    # in their stationary state block T_j / (T_j + mu) of the packets pooled
+    # over many runs.  Under Poisson arrivals the blocked indicators are
+    # i.i.d., so the pooled fraction has the binomial standard error.
+    inst = ln.Instance(counts, 1.0, 1.0, 0.3)
+    prof = ln.RoutingProfile(flow)
+    outs = [ln.simulate(ln.SimConfig(inst, prof, horizon, seed)) for seed in range(seeds)]
+    for j, t in enumerate(ln.traffic_rates(inst, prof)):
+        offered = sum(o.per_link[j].offered for o in outs)
+        blocked = sum(o.per_link[j].blocked for o in outs)
+        p = t / (t + inst.mu)
+        z = (blocked / offered - p) / math.sqrt(p * (1.0 - p) / offered)
+        assert abs(z) <= 4.0, (j, z)
 
 
 @pytest.mark.parametrize("sigmas", [-1.0, math.nan])
@@ -217,7 +236,8 @@ def test_residual_rule_carries_the_last_arrival(monkeypatch):
     ln.simulate(ln.SimConfig(inst, prof, 200.0, 0))
     empty = 0
     for j in range(inst.m):  # both links are fed, so each window calls link 0, then link 1
-        carried = -math.inf
+        carried = calls[j][1]  # the stationary start: the last arrival before time 0
+        assert -math.inf < carried < 0.0
         for times, last in calls[j::inst.m]:
             assert last == carried
             if times.shape[0]:

@@ -211,6 +211,22 @@ def test_cli_counts_beyond_float_arithmetic_exit_code(tmp_path, prof_file, capsy
     assert "float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, counts, phi, mu", [
+    ("poa", [3, 2], 1e308, 1e308),
+    ("poa", [3, 2], 1e-308, 1e308),
+    ("solve-opt", [12 * 10**153, 12 * 10**152], 1.0, 1.2e154),
+    ("solve-opt", [10**155, 10**154], 1.0, 1e155),
+])
+def test_cli_products_beyond_float_arithmetic_exit_code(tmp_path, capsys, command, counts,
+                                                        phi, mu):
+    # Unchecked, these print NaN or Infinity, or a wrong optimum, and exit 0.
+    inst = write_json(tmp_path / "big.json",
+                      {"m": 2, "n": counts, "phi": phi, "mu": mu, "q": 0.3})
+    assert cli.main([command, "--instance", inst]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows the float" in captured.err
+
+
 def test_cli_enumerate_ne_to_csv(inst_file, tmp_path, capsys):
     out_csv = tmp_path / "ne.csv"
     rc = cli.main(
