@@ -70,59 +70,3 @@ from .packet_sim import (
 from .sweeps import SweepSpec, emit_plot_data, figure_presets, run_sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TOLERANCE",
-    "Instance",
-    "RoutingProfile",
-    "TrafficSummary",
-    "OptimalSolution",
-    "NEVerdict",
-    "PoAReport",
-    "TrafficBounds",
-    "BestResponseResult",
-    "TwoSourceState",
-    "TwoSourceVerdict",
-    "SimConfig",
-    "SimOutcome",
-    "ValidationReport",
-    "SweepSpec",
-    "LossNetError",
-    "InvalidInputError",
-    "CapacityError",
-    "UndefinedThresholdError",
-    "InternalCheckError",
-    "traffic_rates",
-    "loss_rate",
-    "total_traffic",
-    "summarize",
-    "iter_profiles",
-    "count_profiles",
-    "instance_from_json",
-    "instance_to_json",
-    "profile_from_json",
-    "profile_to_json",
-    "solve_optimal",
-    "brute_force_optimal",
-    "check_optimal_structure",
-    "opt_traffic_upper_bound",
-    "is_nash_characterization",
-    "is_nash_deviation_oracle",
-    "enumerate_nash",
-    "best_response_dynamics",
-    "poa_report",
-    "ne_traffic_bounds",
-    "mixing_level",
-    "poa_bound",
-    "classify",
-    "scan_nash",
-    "construct_existence_ne",
-    "check_corollaries",
-    "t1",
-    "t2",
-    "simulate",
-    "validate_analytics",
-    "run_sweep",
-    "emit_plot_data",
-    "figure_presets",
-]

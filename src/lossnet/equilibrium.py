@@ -16,14 +16,11 @@ is an equilibrium iff
 Indifference counts as equilibrium, so a deviation must improve by more than
 the shared tolerance to disqualify a profile.
 
-`_conditions` is the only copy of (i) and (ii), written once over flow
-entries that are ints or equal-shape rows of counts, as `model.link_rate`
-is: `is_nash_characterization` runs it on the profile's own tuples in plain
-Python, and `enumerate_nash` on the rows of each (m, m, k) block of
-`model.profile_blocks`.  The oracle and the best-response dynamics stay
-scalar and independent of it; they share one move scan, `_moves`, which
-rates a one-user move by the one link the user lands on, with `loss_rate`'s
-arithmetic, and each keeps its own comparison.
+(i) and (ii) are evaluated by `model._conditions`, their only copy.  The
+oracle and the best-response dynamics stay scalar and independent of it;
+they share one move scan, `_moves`, which rates a one-user move by the one
+link the user lands on, with `loss_rate`'s arithmetic, and each keeps its
+own comparison.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .model import (
     Instance,
     RoutingProfile,
     TrafficSummary,
+    _conditions,
     check_cap,
     class_loss,
     delivered,
@@ -48,7 +46,7 @@ from .model import (
     summarize,
 )
 from .optimizer import opt_traffic_upper_bound, solve_optimal
-from .two_source import scan_nash
+from .two_source import check_scan_size, scan_nash
 
 
 @dataclass(frozen=True)
@@ -73,44 +71,6 @@ class NEVerdict:
     is_ne: bool
     i_star: int
     violations: tuple[Violation, ...]
-
-
-def _conditions(inst: Instance, flow) -> tuple:
-    """Conditions (i) and (ii) on one flow; ``flow[i][j]`` is an int or an equal-shape row.
-
-    Returns the loads and, in verdict order, one (kind, source, link, lhs,
-    rhs, violated) entry per condition of each class: (i) on each direct
-    class by source, then (ii)-DP and (ii)-IP on each indirect class.  On
-    ints every value is a Python float or bool; on rows of counts each is a
-    row, and each element gets its int version's bits.
-    """
-    qbar, qm, m = inst.qbar, inst.q * inst.mu / inst.phi, len(flow)
-    u = [flow[i][i] for i in range(m)]
-    vq = [sum(flow[i][j] for i in range(m) if i != j) * qbar for j in range(m)]
-    load = [u[i] + vq[i] for i in range(m)]
-    # The minimum, by a fold that selects with 0/1 factors so that floats and
-    # rows take the same steps: x * True + y * False is x, bit for bit, as
-    # loads are finite and non-negative.
-    load_star = load[0]
-    for x in load[1:]:
-        load_star = x * (x < load_star) + load_star * (x >= load_star)
-    rhs_i, rhs_ip = load_star + qbar + qm, load_star + qbar
-    entries, bound_i, bound_ip = [], rhs_i + TOLERANCE, rhs_ip + TOLERANCE
-    for i in range(m):
-        lhs = qbar * load[i]
-        entries.append(("condition-(i)", i, i, lhs, rhs_i, (flow[i][i] > 0) & (lhs > bound_i)))
-    # (ii)-IP compares the relay's load with one bound shared by every class.
-    over_ip = [load[l] > bound_ip for l in range(m)]
-    for i in range(m):
-        rhs_dp = qbar * (u[i] + 1 + vq[i]) - qm
-        bound_dp = rhs_dp + TOLERANCE
-        for l in range(m):
-            if l != i:
-                occupied = flow[i][l] > 0
-                entries.append(("condition-(ii)-DP", i, l, load[l], rhs_dp,
-                                occupied & (load[l] > bound_dp)))
-                entries.append(("condition-(ii)-IP", i, l, load[l], rhs_ip, occupied & over_ip[l]))
-    return load, entries
 
 
 def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
@@ -283,10 +243,12 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
 
     Two-source instances use the closed-form aggregate scan; otherwise the
     equilibrium set is enumerated exhaustively (subject to `cap`).  An empty
-    equilibrium set is reported, not raised.  A negative `cap` is rejected
-    before any work, even where no profile is enumerated.
+    equilibrium set is reported, not raised.  A negative `cap`, and two
+    sources beyond the scan's size limit, are rejected before any work, even
+    where no profile is enumerated.
     """
     check_cap(cap)
+    check_scan_size(inst)
     tr_opt = solve_optimal(inst).tr
     if inst.m == 2:
         n1, n2 = inst.user_counts

@@ -33,6 +33,11 @@ arrays of each row's compositions, joined by `_product`: the blocks of the
 leading rows, regrouped, are the heads that the last row's chunks are joined
 to, so no row is walked in Python one composition at a time.
 
+`_conditions` is the only copy of the equilibrium conditions (i) and (ii)
+of `equilibrium`, over ints or equal-shape rows of counts, as `link_rate`
+is: the characterization runs it on one profile in plain Python,
+`enumerate_nash` on each block, and `two_source` on (u1, u2) states.
+
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
 """
@@ -110,8 +115,13 @@ class Instance:
         return 1.0 - self.q
 
     def canonicalized(self) -> tuple["Instance", tuple[int, ...]]:
-        """Return (instance sorted by non-increasing count, perm); perm[k] = slot k's source."""
+        """Return (instance sorted by non-increasing count, perm); perm[k] = slot k's source.
+
+        An instance already in that order is returned as it is.
+        """
         perm = tuple(sorted(range(self.m), key=lambda i: (-self.user_counts[i], i)))
+        if perm == tuple(range(self.m)):
+            return self, perm
         inst = Instance(tuple(self.user_counts[i] for i in perm), self.phi, self.mu, self.q)
         return inst, perm
 
@@ -292,6 +302,44 @@ def total_traffic(inst: Instance, prof: RoutingProfile) -> float:
 def summarize(inst: Instance, prof: RoutingProfile) -> TrafficSummary:
     t = traffic_rates(inst, prof)
     return TrafficSummary(t=t, total_traffic=delivered(inst, t))
+
+
+def _conditions(inst: Instance, flow) -> tuple:
+    """Conditions (i) and (ii) on one flow; ``flow[i][j]`` is an int or an equal-shape row.
+
+    Returns the loads and, in verdict order, one (kind, source, link, lhs,
+    rhs, violated) entry per condition of each class: (i) on each direct
+    class by source, then (ii)-DP and (ii)-IP on each indirect class.  On
+    ints every value is a Python float or bool; on rows of counts each is a
+    row, and each element gets its int version's bits.
+    """
+    qbar, qm, m = inst.qbar, inst.q * inst.mu / inst.phi, len(flow)
+    u = [flow[i][i] for i in range(m)]
+    vq = [sum(flow[i][j] for i in range(m) if i != j) * qbar for j in range(m)]
+    load = [u[i] + vq[i] for i in range(m)]
+    # The minimum, by a fold that selects with 0/1 factors so that floats and
+    # rows take the same steps: x * True + y * False is x, bit for bit, as
+    # loads are finite and non-negative.
+    load_star = load[0]
+    for x in load[1:]:
+        load_star = x * (x < load_star) + load_star * (x >= load_star)
+    rhs_i, rhs_ip = load_star + qbar + qm, load_star + qbar
+    entries, bound_i, bound_ip = [], rhs_i + TOLERANCE, rhs_ip + TOLERANCE
+    for i in range(m):
+        lhs = qbar * load[i]
+        entries.append(("condition-(i)", i, i, lhs, rhs_i, (flow[i][i] > 0) & (lhs > bound_i)))
+    # (ii)-IP compares the relay's load with one bound shared by every class.
+    over_ip = [load[l] > bound_ip for l in range(m)]
+    for i in range(m):
+        rhs_dp = qbar * (u[i] + 1 + vq[i]) - qm
+        bound_dp = rhs_dp + TOLERANCE
+        for l in range(m):
+            if l != i:
+                occupied = flow[i][l] > 0
+                entries.append(("condition-(ii)-DP", i, l, load[l], rhs_dp,
+                                occupied & (load[l] > bound_dp)))
+                entries.append(("condition-(ii)-IP", i, l, load[l], rhs_ip, occupied & over_ip[l]))
+    return load, entries
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

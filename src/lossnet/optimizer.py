@@ -202,6 +202,14 @@ def _last_gain(donors, receivers, phi: float, mu: float, qbar: float) -> int:
     return lo
 
 
+def check_gain_test(inst: Instance) -> None:
+    """Reject an instance whose gain test in `_last_gain` would overflow a float."""
+    load = inst.n * inst.phi + inst.mu
+    if not math.isfinite(inst.phi * load * load):
+        raise InvalidInputError("phi*(n*phi + mu)**2, the size of the gain test, "
+                                "overflows the float rate arithmetic")
+
+
 def solve_optimal(inst: Instance) -> OptimalSolution:
     """Maximize total delivered rate over all pure routing profiles.
 
@@ -220,10 +228,7 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     so the lower B wins.  An instance whose gain test would overflow a
     float is rejected before any work.
     """
-    load = inst.n * inst.phi + inst.mu
-    if not math.isfinite(inst.phi * load * load):
-        raise InvalidInputError("phi*(n*phi + mu)**2, the size of the gain test, "
-                                "overflows the float rate arithmetic")
+    check_gain_test(inst)
     canon, perm = inst.canonicalized()
     counts = canon.user_counts
     m, phi, mu, qbar = canon.m, canon.phi, canon.mu, canon.qbar

@@ -18,7 +18,8 @@ from pathlib import Path
 from .errors import CapacityError, InvalidInputError
 from .model import Instance, _as_number, check_cap, instance_from_json
 from .equilibrium import poa_bound, poa_report
-from .optimizer import solve_optimal
+from .optimizer import check_gain_test, solve_optimal
+from .two_source import check_scan_size
 
 AXES = ("q", "mu", "n1")
 OUTPUTS = ("tr_opt", "tr_worst_ne", "poa_exact", "poa_bound")
@@ -46,8 +47,14 @@ class SweepSpec:
             if o not in seen:
                 seen.append(o)
         object.__setattr__(self, "outputs", tuple(seen))
+        # Every row's guards run here, before the first row is solved.
+        ne = {"tr_worst_ne", "poa_exact"} & set(seen)
         for g in self.grid:
-            apply_axis(self.base, self.axis, g)  # validates the value's domain
+            inst = apply_axis(self.base, self.axis, g)  # validates the value's domain
+            if ne or "tr_opt" in seen:
+                check_gain_test(inst)
+            if ne:
+                check_scan_size(inst)
 
 
 def apply_axis(base: Instance, axis: str, value) -> Instance:

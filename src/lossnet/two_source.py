@@ -17,16 +17,16 @@ non-equilibrium states, and the (u1, u2) grid splits into five regions:
 
 The thresholds divide by 2*qb, so at q = 1 they are undefined; there the
 all-direct state is the unique equilibrium (any relayed packet is lost with
-certainty, so rerouting to the direct path always strictly helps), and every
-mixed state, which relays at least one user, is not one.  `classify`,
-`scan_nash` and `construct_existence_ne` all evaluate the one region
-predicate `_is_ne`, on scalars or on arrays.
+certainty, so rerouting to the direct path always strictly helps).
 
-Because t1 and t2 are linear, region 2's equilibria in each row u1 form one
-interval of u2, so `scan_nash` never builds the (n1+1) x (n2+1) grid: it
-places each row's interval ends by inverting the thresholds and confirms
-them with `_is_ne`, in O(n1 + |NE|) memory, which reaches the paper's
-heavy-traffic sizes (1e6 users and more per source).
+The table only places the cells that can hold an equilibrium.  Each cell is
+decided by `_is_ne`, the general conditions of `model._conditions` on the
+state's flow, so `classify`, `scan_nash` and `construct_existence_ne` agree
+with the characterization by construction.  Because t1 and t2 are linear,
+region 2's equilibria in each row u1 form one interval of u2, so
+`scan_nash` never builds the (n1+1) x (n2+1) grid: it visits only the rows,
+and the few cells of the column u2 = n2, that the table leaves open, so its
+memory follows those rows and the equilibria, not the user counts.
 
 Throughout, "source 1" means the source with the larger user count; instances
 given in the other order are relabeled internally and results are mapped back.
@@ -40,8 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
-from .model import TOLERANCE, Instance, RoutingProfile, total_traffic
+from .model import TOLERANCE, Instance, RoutingProfile, _conditions, total_traffic
 from .optimizer import solve_optimal
+
+
+#: `scan_nash` takes fewer users per source: its float thresholds can miss
+#: an equilibrium from 2**52 users on.
+MAX_COUNT = 2**50
 
 
 @dataclass(frozen=True)
@@ -73,14 +78,6 @@ def _check_two_sources(inst: Instance) -> None:
         raise InvalidInputError(f"two-source analysis requires m = 2, got m = {inst.m}")
 
 
-def _check_sorted(inst: Instance) -> None:
-    if inst.user_counts[0] < inst.user_counts[1]:
-        raise InvalidInputError(
-            "threshold formulas assume user_counts[0] >= user_counts[1]; "
-            "relabel the sources first"
-        )
-
-
 def _threshold(inst: Instance, n_self: int, n_other: int, u_other):
     """t_self given the other source's direct count (an int or an array)."""
     qb = inst.qbar
@@ -90,7 +87,9 @@ def _threshold(inst: Instance, n_self: int, n_other: int, u_other):
 
 def _checked_threshold(inst: Instance, name: str, self_idx: int, u_other: int) -> float:
     _check_two_sources(inst)
-    _check_sorted(inst)
+    if inst.user_counts[0] < inst.user_counts[1]:
+        raise InvalidInputError("threshold formulas assume user_counts[0] >= user_counts[1]; "
+                                "relabel the sources first")
     if inst.q == 1.0:
         raise UndefinedThresholdError(f"{name} is undefined at q = 1 (divides by 2*(1-q))")
     counts = inst.user_counts
@@ -108,30 +107,16 @@ def t2(inst: Instance, u1: int) -> float:
 
 
 def _is_ne(canon: Instance, a1, a2):
-    """The region conditions at (a1, a2) of a sorted instance.
+    """Conditions (i) and (ii) of `model._conditions` at the state (a1, a2) of a sorted instance.
 
-    Works alike on ints and on arrays that broadcast together: `scan_nash`
-    passes a vector of rows with one column, or two equal-length vectors.
+    On ints the verdict is a bool, reached in plain Python; on arrays that
+    broadcast together it is a boolean array.
     """
     n1, n2 = canon.user_counts
-    if canon.q == 1.0:
-        # Every other state relays a user, who always gains by going direct.
-        return (a1 == n1) & (a2 == n2)
-    qb = canon.qbar
-    qm = canon.q * canon.mu / canon.phi
-    th1 = _threshold(canon, n1, n2, a2)
-    th2 = _threshold(canon, n2, n1, a1)
-    # Regions 2 and 3 share u1 < n1, u1 >= t1 - 1 and the exclusion of 1b.
-    ne = a1 >= th1 - 1.0 - TOLERANCE
-    ne &= a1 < n1
-    ne &= (a1 > 0) | (a2 == 0)
-    # Region 3 (the row u2 = n2) caps u1 at t1; region 2 needs u2 >= t2 - 1.
-    side = a1 <= th1 + TOLERANCE
-    side &= a2 == n2
-    side |= (a2 >= th2 - 1.0 - TOLERANCE) & (a2 < n2)
-    ne &= side
-    ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + TOLERANCE))  # region 4
-    return ne
+    _, entries = _conditions(canon, ((a1, n1 - a1), (n2 - a2, a2)))
+    if isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray):
+        return ~np.any([bad for *_, bad in entries], axis=0)
+    return not any(bad for *_, bad in entries)
 
 
 def _case_id(n1: int, n2: int, a1: int, a2: int) -> str:
@@ -155,12 +140,24 @@ def classify(inst: Instance, state: TwoSourceState) -> TwoSourceVerdict:
     a1, a2 = u[perm[0]], u[perm[1]]
     if not (0 <= a1 <= n1 and 0 <= a2 <= n2):
         raise InvalidInputError(f"state {state} out of range for counts {inst.user_counts}")
-    is_ne = bool(_is_ne(canon, a1, a2))
+    is_ne = _is_ne(canon, a1, a2)
     th = (None, None) if canon.q == 1.0 else (t1(canon, a2), t2(canon, a1))
     return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])
 
 
-def _region2_rows(canon: Instance, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_scan_size(inst: Instance) -> None:
+    """Reject two sources with MAX_COUNT users or more on one of them."""
+    if inst.m == 2 and max(inst.user_counts) >= MAX_COUNT:
+        raise InvalidInputError(
+            f"the scan takes under 2**50 users per source, got {inst.user_counts}")
+
+
+def _floor(x: float, bound: int) -> int:
+    """floor(x) of x clipped into [-bound, bound], so that infinities have one too."""
+    return math.floor(min(max(x, -bound), bound))
+
+
+def _region2_rows(canon: Instance, a1: np.ndarray, extra: int) -> tuple[np.ndarray, np.ndarray]:
     """Region 2's equilibria [lo, hi] below u2 = n2 in each interior row a1.
 
     Within a row, u1 >= t1(u2) - 1 holds on a down-set of u2 and
@@ -168,15 +165,16 @@ def _region2_rows(canon: Instance, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     argument, in float arithmetic too), so the equilibria form one interval;
     rows with lo > hi have none.  Its ends are placed by solving both
     conditions for u2, widened by one state each way (rounding moves them by
-    far less), and then moved inward until `_is_ne` holds at each end.
+    far less) and by `extra` more for the conditions' slack, and then moved
+    inward until `_is_ne` holds at each end.
     """
     n1, n2 = canon.user_counts
     qb = canon.qbar
-    lo = np.ceil(_threshold(canon, n2, n1, a1) - 1.0) - 1.0
+    lo = np.ceil(_threshold(canon, n2, n1, a1) - 1.0) - 1.0 - extra
     lo = np.clip(lo, 0, n2).astype(np.int64)
     # t1 rises by (1 + qb^2) / (2 qb) per unit of u2.
     hi = (a1 + 1.0 - _threshold(canon, n1, n2, 0)) * (2.0 * qb) / (1.0 + qb * qb)
-    hi = np.clip(np.floor(hi) + 1.0, -1, n2 - 1).astype(np.int64)
+    hi = np.clip(np.floor(hi) + 1.0 + extra, -1, n2 - 1).astype(np.int64)
     for end, step in ((lo, 1), (hi, -1)):
         rows = np.flatnonzero(lo <= hi)
         while rows.size:
@@ -189,22 +187,40 @@ def _region2_rows(canon: Instance, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def scan_nash(inst: Instance) -> list[TwoSourceState]:
     """All equilibrium states on the (u1, u2) grid, sorted by (u1, u2).
 
-    Scans rows, not the grid: region 2 contributes one interval of u2 per
-    interior row u1 (`_region2_rows`), the column u2 = n2 (regions 3 and 4)
-    and the corner (0, 0) are evaluated directly, and the rest of the rows
-    u1 = 0 and u1 = n1 (regions 1a and 1b) never qualify.  Memory is
-    O(n1 + |NE|) for the larger count n1; time is that plus one stable sort
-    of the states.
+    Evaluates only the cells that can hold an equilibrium: the corner
+    (0, 0); on the column u2 = n2, the all-direct state and the few cells
+    around t1(n2) where region 3 lies; and region 2's interval of u2 in
+    each interior row u1 (`_region2_rows`) that can have one, which needs
+    u1 >= t1(0) - 1 and t2(u1) - 1 <= n2.  Each bound is widened by a margin
+    that covers rounding and the conditions' slack.  Memory is O(rows + |NE|)
+    for those rows; time is that plus one stable sort of the states.  A
+    count of MAX_COUNT or more is rejected before any work.
     """
     _check_two_sources(inst)
+    check_scan_size(inst)
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
     corner = np.array([0] if _is_ne(canon, 0, 0) else [], dtype=np.int64)
-    column = np.flatnonzero(_is_ne(canon, np.arange(n1 + 1), n2))
-    rows = lo = hi = np.arange(0)
-    if canon.q < 1.0:  # at q = 1 no interior row qualifies (see `_is_ne`)
-        rows = np.arange(1, n1)
-        lo, hi = _region2_rows(canon, rows)
+    column, rows = [n1], np.arange(0)
+    lo = hi = rows
+    # `_threshold` divides by 2 * qb.  At q = 1 any user who relays gains by
+    # going direct, unless that gain is below the tolerance, as it can be
+    # only at the corner.
+    if canon.q < 1.0:
+        qb, bound = canon.qbar, n1 + 2
+        s = (1.0 + qb * qb) / (2.0 * qb)  # the slope of t1 in u2 and of t2 in u1
+        # The conditions' slack of TOLERANCE in load units spans up to
+        # TOLERANCE / (2 qb) cells; the margins grow by `extra` cells once
+        # that nears half a cell.
+        extra = math.floor(TOLERANCE / qb)
+        top = _floor(_threshold(canon, n1, n2, n2), bound)
+        column = [*range(max(1, top - 2 - extra), min(n1 - 1, top + 2 + extra) + 1), n1]
+        first = _floor(_threshold(canon, n1, n2, 0) - 1.0 - s * (1 + extra), bound) - 1
+        last = 1 - _floor((_threshold(canon, n2, n1, 0) - (n2 + 1 + extra)) / s, bound)
+        rows = np.arange(max(1, first), min(n1 - 1, last) + 1)
+        lo, hi = _region2_rows(canon, rows, extra)
+    column = np.array(column)
+    column = column[_is_ne(canon, column, n2)]
     width = np.maximum(hi - lo + 1, 0)
     # Corner, intervals row by row, then the column: a stable sort on the
     # instance's first coordinate leaves ties in ascending order of the other.

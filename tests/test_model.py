@@ -190,6 +190,9 @@ def test_canonicalized_sorts_and_maps_back():
     assert canon.user_counts == (5, 5, 2, 1)
     assert perm == (1, 2, 0, 3)
     assert tuple(inst.user_counts[p] for p in perm) == canon.user_counts
+    # An instance already in order is its own canonical form.
+    assert canon.canonicalized() == (canon, (0, 1, 2, 3))
+    assert canon.canonicalized()[0] is canon
 
 
 def test_iter_profiles_lexicographic_and_counted():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -128,6 +129,56 @@ def test_spec_json_parsing():
     assert spec.axis == "q" and spec.outputs == ("tr_opt",)
     with pytest.raises(InvalidInputError):
         spec_from_json({"axis": "q", "grid": [0.1]})
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("q_sweep", "f07486637da077014eb56b6a198cf69c3c457d100b912c43f84fbe6eb03a9c8b"),
+    ("mu_sweep", "4991fae0ab065c9694dfc97029cf772090efa9297aeff36399733d688eb7a58f"),
+    ("n1_sweep", "4264a61215dec8a02713b06e990cf4f656a23468f3e3db4c94ca1cf2c0750ac1"),
+    ("n1_sweep_m3", "cd231df694cf197010bd405d28642fdb8f10cc7a4ddd561d0dd1bc5313b84e24"),
+])
+def test_figure_preset_csvs_are_frozen(name, digest):
+    text = rows_to_csv(run_sweep(ln.figure_presets()[name]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _counting(monkeypatch):
+    """Count `solve_optimal` calls, wherever a sweep row makes them."""
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return ln.optimizer.solve_optimal(inst)
+
+    for owner in (ln.sweeps, ln.equilibrium):
+        monkeypatch.setattr(owner, "solve_optimal", counted)
+    return calls
+
+
+# (3, 2) solves; (10**160, 2) overflows the optimizer's gain test.
+LATE_OVERFLOW = {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.3},
+                 "axis": "n1", "grid": [3, 4, 10**160]}
+
+
+@pytest.mark.parametrize("outputs", [None, ["tr_opt"], ["tr_worst_ne"], ["poa_exact"]])
+def test_every_sweep_point_is_checked_before_the_first_row(monkeypatch, outputs):
+    calls = _counting(monkeypatch)
+    obj = dict(LATE_OVERFLOW, **({"outputs": outputs} if outputs else {}))
+    with pytest.raises(InvalidInputError, match="gain test"):
+        run_sweep(spec_from_json(obj))
+    assert calls == []
+    # A spec that needs no optimum runs every row.
+    rows = run_sweep(spec_from_json(dict(LATE_OVERFLOW, outputs=["poa_bound"])))
+    assert len(rows) == 3 and calls == []
+
+
+def test_every_scan_is_checked_before_the_first_row(monkeypatch):
+    calls = _counting(monkeypatch)
+    spec = dict(LATE_OVERFLOW, grid=[3, 4, 2**50])
+    with pytest.raises(InvalidInputError, match="2\\*\\*50"):
+        run_sweep(spec_from_json(spec))
+    assert calls == []
+    assert len(run_sweep(spec_from_json(dict(spec, outputs=["tr_opt", "poa_bound"])))) == 3
 
 
 def test_figure_presets_are_valid():
@@ -477,6 +528,15 @@ def test_cli_poa_rejects_negative_cap_on_two_sources(inst_file, capsys):
     assert rc == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert "cap must be non-negative" in captured.err and captured.out == ""
+
+
+def test_cli_sweep_overflowing_a_late_grid_point_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls = _counting(monkeypatch)
+    spec = write_json(tmp_path / "spec.json", LATE_OVERFLOW)
+    out_csv = tmp_path / "data.csv"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out_csv)]) == cli.EXIT_INVALID
+    assert "gain test" in capsys.readouterr().err
+    assert calls == [] and not out_csv.exists()
 
 
 def test_cli_sweep_rejects_negative_cap_on_two_sources(tmp_path, capsys):

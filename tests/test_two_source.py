@@ -1,14 +1,23 @@
+import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
+from lossnet import cli
 from lossnet.errors import InvalidInputError, UndefinedThresholdError
-from lossnet.two_source import TwoSourceState, _is_ne
+from lossnet.model import TOLERANCE
+from lossnet.two_source import MAX_COUNT, TwoSourceState, _is_ne, _threshold
 
 from conftest import cross_check_state
 
@@ -147,6 +156,43 @@ def grid_scan(inst):
     return [TwoSourceState(a, b) for a, b in sorted(states)]
 
 
+def region_table_ne(canon, a1, a2):
+    """The paper's region table at (a1, a2) of a sorted instance, on ints or arrays.
+
+    An independent reference for `_is_ne`, which evaluates the general
+    conditions (i) and (ii) instead; the regions are those of the
+    `two_source` module docstring, with a slack of TOLERANCE in units of u1.
+    """
+    n1, n2 = canon.user_counts
+    if canon.q == 1.0:
+        # Every other state relays a user, who always gains by going direct.
+        return (a1 == n1) & (a2 == n2)
+    qb = canon.qbar
+    qm = canon.q * canon.mu / canon.phi
+    th1 = _threshold(canon, n1, n2, a2)
+    th2 = _threshold(canon, n2, n1, a1)
+    # Regions 2 and 3 share u1 < n1, u1 >= t1 - 1 and the exclusion of 1b.
+    ne = a1 >= th1 - 1.0 - TOLERANCE
+    ne &= a1 < n1
+    ne &= (a1 > 0) | (a2 == 0)
+    # Region 3 (the row u2 = n2) caps u1 at t1; region 2 needs u2 >= t2 - 1.
+    side = a1 <= th1 + TOLERANCE
+    side &= a2 == n2
+    side |= (a2 >= th2 - 1.0 - TOLERANCE) & (a2 < n2)
+    ne &= side
+    ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + TOLERANCE))  # region 4
+    return ne
+
+
+def region_table_scan(inst):
+    """Reference scan: `region_table_ne` broadcast over the whole grid."""
+    canon, perm = inst.canonicalized()
+    n1, n2 = canon.user_counts
+    ne = region_table_ne(canon, np.arange(n1 + 1)[:, None], np.arange(n2 + 1)[None, :])
+    states = np.argwhere(ne)[:, list(perm)].tolist()
+    return [TwoSourceState(a, b) for a, b in sorted(states)]
+
+
 def random_instances():
     rng = random.Random(83)
     for _ in range(300):
@@ -184,6 +230,29 @@ def test_scan_equals_grid_reference(instances):
         for counts in ((n1, n2), (n2, n1)):
             ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
             assert repr(ln.scan_nash(ordered)) == repr(grid_scan(ordered)), ordered
+
+
+@pytest.mark.parametrize("instances", [
+    random_instances, exact_tie_instances, figure_preset_instances,
+])
+def test_scan_equals_region_table(instances):
+    for inst in instances():
+        n1, n2 = inst.user_counts
+        for counts in ((n1, n2), (n2, n1)):
+            ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
+            assert repr(ln.scan_nash(ordered)) == repr(region_table_scan(ordered)), ordered
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    phi=st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+    mu=st.one_of(st.sampled_from([0.5, 1.0, 10.0, 300.0]), st.floats(0.01, 1e4)),
+    q=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_scan_is_the_grid_filter_of_the_predicate(counts, phi, mu, q):
+    inst = ln.Instance(counts, phi, mu, q)
+    assert ln.scan_nash(inst) == grid_scan(inst)
 
 
 @pytest.mark.parametrize("counts, mu, q", [
@@ -224,6 +293,79 @@ def test_scan_and_poa_at_heavy_traffic(counts, mu, q):
         for v1, v2 in ((u1 - 1, u2), (u1 + 1, u2), (u1, u2 - 1), (u1, u2 + 1)):
             if 0 <= v1 <= n1 and 0 <= v2 <= n2 and (v1, v2) not in found:
                 assert not ln.classify(inst, TwoSourceState(v1, v2)).is_ne, (v1, v2)
+
+
+def test_scan_memory_follows_the_rows_that_can_hold_an_equilibrium():
+    # No interior row of this instance can hold an equilibrium, and region 3
+    # is a few cells of the column u2 = n2: a scan of every row, or of the
+    # whole column, takes hundreds of megabytes here.
+    inst = ln.Instance((10**7, 10**6), 1.0, 10.0, 0.3)
+    tracemalloc.start()
+    try:
+        states = ln.scan_nash(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert states == [TwoSourceState(5714288, 10**6)]
+    for v1 in (5714287, 5714289):
+        assert not ln.classify(inst, TwoSourceState(v1, 10**6)).is_ne
+
+
+@pytest.mark.parametrize("n1, qb, count", [(10**12, 3e-12, 335), (10**10, 3e-10, 5)])
+def test_scan_keeps_every_cell_the_predicate_admits_near_q1(n1, qb, count):
+    # With qb near 1/n1, region 3 lies inside the column u2 = n2, and the
+    # conditions' slack of TOLERANCE in load units spans TOLERANCE / (2 qb)
+    # cells of it: 167 each way at n1 = 1e12, so a window of a few cells
+    # around t1(n2) would miss most of them.
+    inst = ln.Instance((n1, 1), 1.0, 1.0, 1.0 - qb)
+    u1 = math.floor(ln.t1(inst, 1)) + np.arange(-1000, 1001)
+    admitted = u1[_is_ne(inst, u1, 1)].tolist()
+    assert [(s.u1, s.u2) for s in ln.scan_nash(inst)] == [(a, 1) for a in admitted]
+    assert len(admitted) == count
+
+
+def _cli_in_a_small_address_space(tmp_path, argv):
+    """Run `lossnet` on (10**8, 10**7) users, mu = 10, q = 0.3, in a child limited
+    to 1 GiB of address space and one BLAS thread."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"m": 2, "n": [10**8, 10**7], "phi": 1.0, "mu": 10.0, "q": 0.3}))
+    src = str(Path(ln.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def limit():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "lossnet.cli", *argv, "--instance", str(inst)],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_scan_and_poa_at_heavy_traffic_in_a_small_address_space(tmp_path):
+    scan = _cli_in_a_small_address_space(tmp_path, ["two-source", "scan"])
+    assert scan.returncode == 0, scan.stderr
+    assert json.loads(scan.stdout) == {
+        "ne_states": [{"u1": 57142859, "u2": 10**7}], "count": 1}
+    poa = _cli_in_a_small_address_space(tmp_path, ["poa"])
+    assert poa.returncode == 0, poa.stderr
+    assert json.loads(poa.stdout)["ne_count"] == 1
+
+
+@pytest.mark.parametrize("argv", [["two-source", "scan"], ["poa"]])
+@pytest.mark.parametrize("counts", [(MAX_COUNT, 1), (1, MAX_COUNT)])
+def test_cli_scan_beyond_its_size_limit_exits_2(tmp_path, capsys, monkeypatch, argv, counts):
+    def no_work(*args):
+        raise AssertionError("work ran before the size check")
+
+    monkeypatch.setattr(ln.equilibrium, "solve_optimal", no_work)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"m": 2, "n": list(counts), "phi": 1.0, "mu": 10.0, "q": 0.3}))
+    assert cli.main([*argv, "--instance", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2**50" in captured.err
+    # One user fewer is scanned.
+    small = ln.Instance((MAX_COUNT - 1, 1), 1.0, 10.0, 0.3)
+    assert ln.scan_nash(small)
 
 
 def test_swap_everything_at_q0_with_near_equal_counts():
