@@ -13,14 +13,14 @@ is an equilibrium iff
   (ii) every occupied indirect class (i relaying via l) satisfies
        load_l <= min(qbar * (u_i + 1 + v_i*qbar) - q*mu/phi,
                      load_{i*} + qbar).
-Indifference counts as equilibrium, so a deviation must improve by more than
-the shared tolerance to disqualify a profile.
+Indifference counts as equilibrium, by the tie policy of `model`.
 
 (i) and (ii) are evaluated by `model._conditions`, their only copy.  The
 oracle and the best-response dynamics stay scalar and independent of it;
-they share one move scan, `_moves`, which rates a one-user move by the one
-link the user lands on, with `loss_rate`'s arithmetic, and each keeps its
-own comparison.
+they share the move scan `_moves` and the comparison `model.prefers`.  The
+game has the ordinal potential Phi = prod_l (T_l + mu) (Monderer and Shapley,
+"Potential Games", 1996): a one-user move lowers (ties) the mover's loss
+exactly when it raises (keeps) Phi, so improving moves never revisit a profile.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
-    TOLERANCE,
     Instance,
     RoutingProfile,
     TrafficSummary,
@@ -42,6 +41,7 @@ from .model import (
     delivered,
     link_rate,
     link_rates,
+    prefers,
     profile_blocks,
     summarize,
 )
@@ -85,24 +85,17 @@ def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     return NEVerdict(not viols, load.index(min(load)), viols)
 
 
-def _moves(inst: Instance, flow, t: list, i: int, r: int) -> tuple[float, list]:
-    """Loss rate of a class-(i, r) user, and (r2, its rate once moved to r2) per r2 != r.
-
-    `flow` is a valid profile's rows and `t` its link rates.  A moved user's
-    loss depends only on the rate of the link it lands on, so each move
-    rates that one link of the moved rows with `link_rate`: the bits are
-    `loss_rate`'s without building and validating a moved profile.
-    """
-    phi, rows = inst.phi, list(flow)
+def _moves(inst: Instance, flow, i: int, r: int) -> list:
+    """(r2, link r2's rate once a class-(i, r) user moves to it) per r2 != r, by `link_rate`."""
+    rows = list(flow)
     row = rows[i] = list(flow[i])
-    row[r] -= 1
-    alts = []
+    moves = []
     for r2 in range(inst.m):
         if r2 != r:
             row[r2] += 1
-            alts.append((r2, class_loss(inst, {r2: link_rate(inst, rows, r2)}, i, r2, phi)))
+            moves.append((r2, link_rate(inst, rows, r2)))
             row[r2] -= 1
-    return class_loss(inst, t, i, r, phi), alts
+    return moves
 
 
 def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
@@ -110,22 +103,18 @@ def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     prof.validate_for(inst)
     u, v = prof.u(), prof.v()
     i_star = min(range(inst.m), key=lambda i: (u[i] + v[i] * inst.qbar, i))
-    t = link_rates(inst, prof.flow)
+    phi, t = inst.phi, link_rates(inst, prof.flow)
     viols: list[Violation] = []
     for i in range(inst.m):
         for r in range(inst.m):
             if prof.flow[i][r] < 1:
                 continue
-            current, moves = _moves(inst, prof.flow, t, i, r)
-            for r2, alt in moves:
-                if current > alt + TOLERANCE:
-                    if r == i:
-                        kind, relay = "condition-(i)", r2
-                    elif r2 == i:
-                        kind, relay = "condition-(ii)-DP", r
-                    else:
-                        kind, relay = "condition-(ii)-IP", r
-                    viols.append(Violation(kind, i, relay, current, alt))
+            for r2, t2 in _moves(inst, prof.flow, i, r):
+                if prefers(inst, i, r2, t2, r, t[r]):
+                    kind = "(i)" if r == i else "(ii)-DP" if r2 == i else "(ii)-IP"
+                    viols.append(Violation(f"condition-{kind}", i, r2 if r == i else r,
+                                           class_loss(inst, t[r], i, r, phi),
+                                           class_loss(inst, t2, i, r2, phi)))
     return NEVerdict(not viols, i_star, tuple(viols))
 
 
@@ -147,7 +136,7 @@ def enumerate_nash(
 class BestResponseResult:
     profile: RoutingProfile
     rounds: int
-    outcome: str  # "converged" | "cycle" | "budget-exhausted"
+    outcome: str  # "converged" | "budget-exhausted"
 
 
 def best_response_dynamics(
@@ -155,39 +144,33 @@ def best_response_dynamics(
 ) -> BestResponseResult:
     """Asynchronous best responses from `start` until a fixed point.
 
-    Each round visits the occupied classes in a seeded random order and moves
-    one user of the visited class to its best alternative route when that
-    improves the user's loss rate by more than the tolerance (ties between
-    alternatives resolve to the lowest relay index).  Stops on the first
-    round with no move (converged), when a previously seen profile recurs
-    (cycle), or after `max_rounds` rounds (budget-exhausted).
+    Each round visits the classes occupied at its start in a seeded random
+    order and moves one user of the visited class to its best alternative
+    by `prefers` (ties to the lowest relay index) when that beats its route.
+    Stops on the first round with no move (converged) or after `max_rounds`
+    rounds (budget-exhausted).  Every move raises the module's potential.
+    Past about 2e6 users on a link, rounding in `prefers` can exceed its
+    slack, so a move on an exact tie could pass and a profile recur; such a
+    run ends budget-exhausted.
     """
     if max_rounds < 1:
         raise InvalidInputError(f"max_rounds must be at least 1, got {max_rounds!r}")
     start.validate_for(inst)
     rng = random.Random(seed)
-    prof = start
-    seen = {prof.flow}
-    t = link_rates(inst, prof.flow)
+    prof, t = start, link_rates(inst, start.flow)
     for rounds in range(1, max_rounds + 1):
         occupied = [(i, r) for i in range(inst.m) for r in range(inst.m) if prof.flow[i][r] >= 1]
         rng.shuffle(occupied)
         moved = False
         for i, r in occupied:
-            if prof.flow[i][r] < 1:
-                continue
-            current, moves = _moves(inst, prof.flow, t, i, r)
-            best_alt, best_rate = None, None
-            for r2, alt in moves:
-                if best_rate is None or alt < best_rate - TOLERANCE:
-                    best_alt, best_rate = r2, alt
-            if best_alt is not None and current - best_rate > TOLERANCE:
-                prof = prof.move(i, r, best_alt)
+            best = None
+            for move in _moves(inst, prof.flow, i, r):
+                if best is None or prefers(inst, i, *move, *best):
+                    best = move
+            if best is not None and prefers(inst, i, *best, r, t[r]):
+                prof = prof.move(i, r, best[0])
                 t = link_rates(inst, prof.flow)
                 moved = True
-                if prof.flow in seen:
-                    return BestResponseResult(prof, rounds, "cycle")
-                seen.add(prof.flow)
         if not moved:
             return BestResponseResult(prof, rounds, "converged")
     return BestResponseResult(prof, max_rounds, "budget-exhausted")

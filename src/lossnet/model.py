@@ -37,6 +37,9 @@ to, so no row is walked in Python one composition at a time.
 of `equilibrium`, over ints or equal-shape rows of counts, as `link_rate`
 is: the characterization runs it on one profile in plain Python,
 `enumerate_nash` on each block, and `two_source` on (u1, u2) states.
+`prefers` compares two routes of one user for the oracle and the dynamics.
+It and `_conditions` compare in users, with one tie policy: only a slack
+above `TOLERANCE` counts, so indifference counts as equilibrium.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -52,9 +55,8 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 
-#: Absolute tolerance for equality/ordering comparisons on rates and loads.
-#: Every quantity compared in equilibrium logic is a low-degree rational
-#: function of small integers and the parameters, so real gaps dwarf this.
+#: The slack, in users, that a route or a condition must exceed to count as
+#: strictly better or violated.
 TOLERANCE = 1e-9
 
 
@@ -278,20 +280,29 @@ def loss_rate(inst: Instance, prof: RoutingProfile, origin: int, relay: int) -> 
     """
     _check_index(origin, inst.m, "origin")
     _check_index(relay, inst.m, "relay")
-    return class_loss(inst, traffic_rates(inst, prof), origin, relay, inst.phi)
+    return class_loss(inst, traffic_rates(inst, prof)[relay], origin, relay, inst.phi)
 
 
-def class_loss(
-    inst: Instance, t: tuple[float, ...], origin: int, relay: int, phi: float = 1.0
-) -> float:
-    """Loss rate of class (origin, relay) under link rates `t`, per user of rate `phi`.
+def class_loss(inst: Instance, t: float, origin: int, relay: int, phi: float = 1.0) -> float:
+    """Loss rate of class (origin, relay) at rate `t` on link `relay`, per user of rate `phi`.
 
-    Only ``t[relay]`` is read.  At the default phi = 1 this is the class loss
-    probability.
+    At the default phi = 1 this is the class loss probability.
     """
     if origin == relay:
-        return phi * t[relay] / (t[relay] + inst.mu)
-    return phi * (inst.q + inst.qbar * t[relay] / (t[relay] + inst.mu))
+        return phi * t / (t + inst.mu)
+    return phi * (inst.q + inst.qbar * t / (t + inst.mu))
+
+
+def prefers(inst: Instance, i: int, a: int, t_a: float, b: int, t_b: float) -> bool:
+    """True when a source-i user loses strictly less on route a than on route b.
+
+    `t_a`, `t_b` are the links' rates with the user on them.  Route r loses
+    phi * (1 - w_r * mu / (t_r + mu)), w_r = 1 on link i and qbar on a relay,
+    so a wins by the slack (w_a (t_b + mu) - w_b (t_a + mu)) / phi in users.
+    """
+    w_a = 1.0 if a == i else inst.qbar
+    w_b = 1.0 if b == i else inst.qbar
+    return (w_a * (t_b + inst.mu) - w_b * (t_a + inst.mu)) / inst.phi > TOLERANCE
 
 
 def total_traffic(inst: Instance, prof: RoutingProfile) -> float:
@@ -394,13 +405,15 @@ def _blocks(counts: tuple[int, ...], m: int) -> Iterator[np.ndarray]:
     """Rows with these user counts, every combination ascending lex, as (len(counts), m, k) blocks.
 
     The heads are the blocks of counts[:-1] (one empty head when no row is
-    left).  A last row that fits in one block (per_block > 1) is built once.
+    left).  The last row's chunks are built once when it has at most
+    64 * BLOCK compositions, and again for each group of heads otherwise.
     """
     if not counts:
         yield np.empty((0, m, 1), dtype=np.int64)
         return
-    per_block = max(1, BLOCK // math.comb(counts[-1] + m - 1, m - 1))
-    tails = list(_row_chunks(counts[-1], m)) if per_block > 1 else None
+    size = math.comb(counts[-1] + m - 1, m - 1)
+    per_block = max(1, BLOCK // size)
+    tails = list(_row_chunks(counts[-1], m)) if size <= 64 * BLOCK else None
     for lead in _groups(_blocks(counts[:-1], m), per_block):
         for tail in tails or _row_chunks(counts[-1], m):
             yield _product(lead, tail[None])

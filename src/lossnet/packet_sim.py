@@ -214,7 +214,7 @@ def assess_outcome(
     ]
     for (i, r), cc in sorted(outcome.per_class.items()):
         checks.append(_check("class-loss", (i, r), cc.sidelink_lost + cc.congestion_lost,
-                             cc.generated, class_loss(inst, rates, i, r), tolerance_sigmas))
+                             cc.generated, class_loss(inst, rates[r], i, r), tolerance_sigmas))
     return ValidationReport(tuple(checks))
 
 

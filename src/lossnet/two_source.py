@@ -238,9 +238,9 @@ def scan_nash(inst: Instance) -> list[TwoSourceState]:
 def construct_existence_ne(inst: Instance) -> TwoSourceState:
     """A guaranteed equilibrium with u1 > 0 and u2 = n2.
 
-    All-direct when the grand condition holds; otherwise the integer
-    floor(t1(n2)), clamped into [t1(n2) - 1, t1(n2)] and [1, n1 - 1], paired
-    with u2 = n2.  The result is re-checked before being returned.
+    All-direct when the grand condition holds; otherwise u2 = n2 with the
+    first u1 that `_is_ne` admits among floor(t1(n2)) and the cells one and
+    two below and above it, clipped into [1, n1 - 1].  Re-checked on return.
     """
     _check_two_sources(inst)
     canon, perm = inst.canonicalized()
@@ -248,7 +248,9 @@ def construct_existence_ne(inst: Instance) -> TwoSourceState:
     if _is_ne(canon, n1, n2):
         a = (n1, n2)
     else:
-        a = (min(max(math.floor(t1(canon, n2)), 1), n1 - 1), n2)
+        top = math.floor(t1(canon, n2))
+        cells = [min(max(top + d, 1), n1 - 1) for d in (0, -1, 1, -2, 2)]
+        a = (next((a1 for a1 in cells if _is_ne(canon, a1, n2)), cells[0]), n2)
     state = TwoSourceState(a[perm[0]], a[perm[1]])
     verdict = classify(inst, state)
     if not verdict.is_ne:

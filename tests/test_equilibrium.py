@@ -2,14 +2,17 @@ import collections
 import hashlib
 import itertools
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
 from lossnet.equilibrium import _conditions, _moves
 from lossnet.errors import CapacityError
-from lossnet.model import link_rates, profile_blocks
+from lossnet.model import prefers, profile_blocks
 
 from conftest import count_shapes, random_instance, random_profile
 
@@ -180,6 +183,66 @@ def test_dynamics_converged_profiles_pass_the_oracle():
         res = ln.best_response_dynamics(inst, start, max_rounds=300, seed=rng.randrange(100))
         if res.outcome == "converged":
             assert ln.is_nash_deviation_oracle(inst, res.profile).is_ne
+
+
+def test_dynamics_memory_does_not_grow_with_the_path():
+    # Every move raises the potential, so no visited profile is kept to
+    # catch a cycle; keeping all 4,280 of them here peaks at about 1 MB.
+    inst = ln.Instance((10**4, 10**3), 1.0, 30.0, 0.3)
+    tracemalloc.start()
+    try:
+        res = ln.best_response_dynamics(inst, ln.RoutingProfile.all_direct(inst), max_rounds=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    assert (res.outcome, res.rounds) == ("converged", 4280)
+    assert res.profile.flow == ((5721, 4279), (0, 1000))
+
+
+def exact_loss_and_potential(inst, flow, i, r):
+    """The exact loss rate of a class-(i, r) user of `flow`, and prod_l (T_l + mu).
+
+    phi, mu and q are parsed from their decimal repr, as in `exact_traffic`.
+    """
+    phi, mu, q = (Fraction(str(x)) for x in (inst.phi, inst.mu, inst.q))
+    t = [phi * (flow[j][j] + (1 - q) * sum(row[j] for k, row in enumerate(flow) if k != j))
+         for j in range(len(flow))]
+    congested = t[r] / (t[r] + mu)
+    loss = phi * (congested if r == i else q + (1 - q) * congested)
+    potential = Fraction(1)
+    for tj in t:
+        potential *= tj + mu
+    return loss, potential
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_one_user_move_is_ordered_by_the_potential(data):
+    """Phi = prod_l (T_l + mu) is an ordinal potential of the game: for every
+    one-user move the mover's exact loss falls exactly when Phi rises, and
+    equal losses go with equal Phi.  `prefers` gives the same verdict."""
+    m = data.draw(st.integers(2, 4))
+    counts = data.draw(st.tuples(*[st.integers(1, 6)] * m))
+    inst = ln.Instance(counts,
+                       data.draw(st.integers(1, 40)) / 10,   # phi
+                       data.draw(st.integers(1, 500)) / 100,  # mu
+                       data.draw(st.integers(0, 10)) / 10)    # q, both ends included
+    flow = []
+    for n in counts:
+        routes = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        flow.append(tuple(routes.count(j) for j in range(m)))
+    prof = ln.RoutingProfile(tuple(flow))
+    t = ln.traffic_rates(inst, prof)
+    for i, r in itertools.product(range(m), repeat=2):
+        if flow[i][r] < 1:
+            continue
+        before, phi_before = exact_loss_and_potential(inst, prof.flow, i, r)
+        for r2, t2 in _moves(inst, prof.flow, i, r):
+            after, phi_after = exact_loss_and_potential(inst, prof.move(i, r, r2).flow, i, r2)
+            assert (after < before) == (phi_after > phi_before), (inst, flow, i, r, r2)
+            assert (after == before) == (phi_after == phi_before), (inst, flow, i, r, r2)
+            assert prefers(inst, i, r2, t2, r, t[r]) == (after < before), (inst, flow, i, r, r2)
 
 
 def test_poa_bound_not_applicable_example():
@@ -430,7 +493,7 @@ def test_scalar_and_block_conditions_flag_the_same_violations(q):
                 assert got == flagged[c], (inst, flow)
 
 
-def test_move_scan_rates_are_loss_rate_bits():
+def test_move_scan_rates_are_link_rate_bits():
     rng = random.Random(10)
     for _ in range(1500):
         inst = random_instance(rng, m_choices=(1, 2, 3, 4, 5), n_max=6,
@@ -438,12 +501,10 @@ def test_move_scan_rates_are_loss_rate_bits():
                                q_choices=(0.0, 0.3, 1.0, rng.random()),
                                phi=rng.choice((0.5, 1.0, 1.7)))
         prof = random_profile(rng, inst)
-        t = link_rates(inst, prof.flow)
         for i, r in itertools.product(range(inst.m), repeat=2):
             if prof.flow[i][r] < 1:
                 continue
-            current, moves = _moves(inst, prof.flow, t, i, r)
-            assert current == ln.loss_rate(inst, prof, i, r)
+            moves = _moves(inst, prof.flow, i, r)
             assert [r2 for r2, _ in moves] == [r2 for r2 in range(inst.m) if r2 != r]
             for r2, rate in moves:
-                assert rate == ln.loss_rate(inst, prof.move(i, r, r2), i, r2), (inst, prof, i, r)
+                assert rate == ln.traffic_rates(inst, prof.move(i, r, r2))[r2], (inst, prof, i, r)

@@ -175,6 +175,8 @@ def test_instance_validation():
         ln.Instance((1,), 1.0, -1.0, 0.5)
     with pytest.raises(InvalidInputError):
         ln.Instance((1,), 1.0, 1.0, 1.5)
+    with pytest.raises(InvalidInputError, match=r"user_counts\[0\]"):
+        ln.Instance((1.5,), 1.0, 1.0, 0.5)
 
 
 def test_profile_validation():
@@ -182,6 +184,8 @@ def test_profile_validation():
         ln.RoutingProfile(((1, 0), (0,)))
     with pytest.raises(InvalidInputError):
         ln.RoutingProfile(((-1, 1), (0, 1)))
+    with pytest.raises(InvalidInputError, match="flow"):
+        ln.RoutingProfile(())
 
 
 def test_canonicalized_sorts_and_maps_back():
@@ -295,6 +299,15 @@ def test_instance_json_names_first_bad_field():
         ln.instance_from_json({"m": 1, "n": [1], "phi": 1, "mu": 1, "q": "x"})
     with pytest.raises(InvalidInputError, match="flow"):
         ln.profile_from_json({"flow": [[1, "a"]]})
+    good = {"m": 2, "n": [3, 2], "phi": 1, "mu": 1, "q": 0}
+    for obj, field in (([1, 2], "JSON object"), ({**good, "m": 0}, "'m'"),
+                       ({**good, "m": True}, "'m'"), ({**good, "n": 3}, "'n'"),
+                       ({**good, "n": [3, 2, 1]}, "'n'")):
+        with pytest.raises(InvalidInputError, match=field):
+            ln.instance_from_json(obj)
+    for flow, field in (([], "'flow'"), ([[1, 2], 3], r"flow\[1\]")):
+        with pytest.raises(InvalidInputError, match=field):
+            ln.profile_from_json({"flow": flow})
 
 
 def test_move_conserves_rows():

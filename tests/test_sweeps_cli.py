@@ -12,6 +12,7 @@ from lossnet.sweeps import (
     CSV_COLUMNS,
     NA,
     SweepSpec,
+    _fmt,
     apply_axis,
     emit_plot_data,
     rows_to_csv,
@@ -69,6 +70,8 @@ def test_csv_is_deterministic_and_parseable():
         # numeric cells round-trip exactly through repr
         if line[1] != NA:
             assert repr(float(line[1])) == line[1]
+    with pytest.raises(InvalidInputError, match="booleans"):
+        _fmt(True)
 
 
 def test_threaded_sweep_matches_serial():
@@ -129,6 +132,10 @@ def test_spec_json_parsing():
     assert spec.axis == "q" and spec.outputs == ("tr_opt",)
     with pytest.raises(InvalidInputError):
         spec_from_json({"axis": "q", "grid": [0.1]})
+    with pytest.raises(InvalidInputError, match="sweep spec"):
+        spec_from_json([obj])
+    with pytest.raises(InvalidInputError, match="'grid'"):
+        spec_from_json(dict(obj, grid=0.5))
 
 
 @pytest.mark.parametrize("name, digest", [
@@ -392,6 +399,14 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{", encoding="utf-8")
     assert cli.main(["poa", "--instance", str(notjson)]) == cli.EXIT_INVALID
+    good = write_json(tmp_path / "good.json", {"m": 2, "n": [3, 2], "phi": 1, "mu": 1, "q": 0})
+    capsys.readouterr()
+    assert cli.main(["two-source", "--instance", good, "classify", "--u1", "1"]) == cli.EXIT_INVALID
+    assert "--u2" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert cli.main(["enumerate-ne", "--instance", good, "--out", str(taken)]) == cli.EXIT_INVALID
+    assert f"cannot write {taken}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

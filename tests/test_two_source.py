@@ -147,13 +147,19 @@ def test_scan_matches_classify_gridwise():
         assert [(s.u1, s.u2) for s in ln.scan_nash(inst)] == grid
 
 
-def grid_scan(inst):
-    """Reference scan: `_is_ne` broadcast over the whole (n1+1) x (n2+1) grid."""
-    canon, perm = inst.canonicalized()
+def grid_scans(inst, ne=_is_ne):
+    """Reference scans of `inst` in both source orders, as (ordered instance, states).
+
+    `ne` is broadcast once over the whole (n1+1) x (n2+1) grid of the sorted
+    instance, which both orders share; each order maps its cells back.
+    """
+    canon, _ = inst.canonicalized()
     n1, n2 = canon.user_counts
-    ne = _is_ne(canon, np.arange(n1 + 1)[:, None], np.arange(n2 + 1)[None, :])
-    states = np.argwhere(ne)[:, list(perm)].tolist()
-    return [TwoSourceState(a, b) for a, b in sorted(states)]
+    cells = np.argwhere(ne(canon, np.arange(n1 + 1)[:, None], np.arange(n2 + 1)[None, :]))
+    for counts in ((n1, n2), (n2, n1)):
+        ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
+        states = cells[:, list(ordered.canonicalized()[1])].tolist()
+        yield ordered, [TwoSourceState(a, b) for a, b in sorted(states)]
 
 
 def region_table_ne(canon, a1, a2):
@@ -182,15 +188,6 @@ def region_table_ne(canon, a1, a2):
     ne &= side
     ne |= (a1 == n1) & ((a2 == n2) & (n1 * qb <= qm + n2 + qb + TOLERANCE))  # region 4
     return ne
-
-
-def region_table_scan(inst):
-    """Reference scan: `region_table_ne` broadcast over the whole grid."""
-    canon, perm = inst.canonicalized()
-    n1, n2 = canon.user_counts
-    ne = region_table_ne(canon, np.arange(n1 + 1)[:, None], np.arange(n2 + 1)[None, :])
-    states = np.argwhere(ne)[:, list(perm)].tolist()
-    return [TwoSourceState(a, b) for a, b in sorted(states)]
 
 
 def random_instances():
@@ -226,10 +223,8 @@ def figure_preset_instances():
 ])
 def test_scan_equals_grid_reference(instances):
     for inst in instances():
-        n1, n2 = inst.user_counts
-        for counts in ((n1, n2), (n2, n1)):
-            ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
-            assert repr(ln.scan_nash(ordered)) == repr(grid_scan(ordered)), ordered
+        for ordered, reference in grid_scans(inst):
+            assert repr(ln.scan_nash(ordered)) == repr(reference), ordered
 
 
 @pytest.mark.parametrize("instances", [
@@ -237,10 +232,8 @@ def test_scan_equals_grid_reference(instances):
 ])
 def test_scan_equals_region_table(instances):
     for inst in instances():
-        n1, n2 = inst.user_counts
-        for counts in ((n1, n2), (n2, n1)):
-            ordered = ln.Instance(counts, inst.phi, inst.mu, inst.q)
-            assert repr(ln.scan_nash(ordered)) == repr(region_table_scan(ordered)), ordered
+        for ordered, reference in grid_scans(inst, region_table_ne):
+            assert repr(ln.scan_nash(ordered)) == repr(reference), ordered
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -252,7 +245,7 @@ def test_scan_equals_region_table(instances):
 )
 def test_scan_is_the_grid_filter_of_the_predicate(counts, phi, mu, q):
     inst = ln.Instance(counts, phi, mu, q)
-    assert ln.scan_nash(inst) == grid_scan(inst)
+    assert ln.scan_nash(inst) == dict(grid_scans(inst))[inst]
 
 
 @pytest.mark.parametrize("counts, mu, q", [
@@ -408,6 +401,48 @@ def test_existence_construction_always_verified():
         assert ln.is_nash_deviation_oracle(inst, s.expand(inst)).is_ne
 
 
+@pytest.mark.parametrize("counts", [(33231013, 20165343), (20165343, 33231013)])
+def test_existence_construction_where_t1_rounds_past_region_3(tmp_path, capsys, counts):
+    # t1(n2) rounds to 27818477.0 here, and the column u2 = n2 admits only
+    # 27818476, so floor(t1(n2)) alone is one cell too far.
+    inst = ln.Instance(counts, 1.0, 30.0, 0.1)
+    state = ln.construct_existence_ne(inst)
+    expected = (27818476, 20165343) if counts[0] > counts[1] else (20165343, 27818476)
+    assert (state.u1, state.u2) == expected
+    assert cross_check_state(inst, state)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(ln.instance_to_json(inst)))
+    assert cli.main(["two-source", "--instance", str(path), "existence"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"u1": expected[0], "u2": expected[1]}
+
+
+def heavy_neighbourhoods():
+    """(instance, state) for every state of the 3 x 3 neighbourhoods of all-direct
+    and of `construct_existence_ne` on 300 seeded instances with n1 = 10**U(3, 7)."""
+    rng = random.Random(18)
+    for _ in range(300):
+        n1 = round(10 ** rng.uniform(3, 7))
+        n2 = rng.randint(1, n1)
+        inst = ln.Instance((n1, n2), rng.choice((1.0, rng.uniform(0.5, 2.0))),
+                           rng.choice((1.0, 10.0, 30.0, rng.uniform(0.1, 100.0))),
+                           rng.choice((0.3, 0.9, rng.random())))
+        s = ln.construct_existence_ne(inst)
+        cells = {(a + d1, b + d2) for a, b in ((n1, n2), (s.u1, s.u2))
+                 for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)}
+        for a1, a2 in sorted(cells):
+            if 0 <= a1 <= n1 and 0 <= a2 <= n2:
+                yield inst, TwoSourceState(a1, a2)
+
+
+def test_deciders_agree_at_heavy_traffic():
+    # One-user gains in loss rate fall below 1e-9 near 1e4 users, but
+    # `prefers` compares routes in users, as the characterization does.
+    states = list(heavy_neighbourhoods())
+    assert len(states) > 1500
+    for inst, state in states:
+        assert cross_check_state(inst, state), (inst, state)
+
+
 def test_case3_upper_companion_condition_is_implied():
     # In the full-small-source region the companion inequality u2 <= t2(u1)
     # follows from u1 >= t1(n2) - 1; sample it rather than trust it.
@@ -433,8 +468,8 @@ def test_corollaries_q1_instance():
 
 def test_classify_q1_mixed_state_is_not_ne_at_heavy_traffic():
     # At q = 1 every relayed user strictly gains by going direct, but at
-    # n1 = 1e9 the gain is below the oracle's absolute tolerance.  classify
-    # must still follow the region conditions, like the characterization.
+    # n1 = 1e9 the gain in loss rate is below 1e-9.  Every decider compares
+    # in users, so classify, the characterization and the oracle all see it.
     inst = ln.Instance((10**9, 1), 1.0, 1.0, 1.0)
     mirror = ln.Instance((1, 10**9), 1.0, 1.0, 1.0)
     for i, s in ((inst, TwoSourceState(10**9 - 1, 1)), (mirror, TwoSourceState(1, 10**9 - 1))):
@@ -442,6 +477,7 @@ def test_classify_q1_mixed_state_is_not_ne_at_heavy_traffic():
         assert verdict.case_id == "3"
         assert verdict.is_ne is False
         assert ln.is_nash_characterization(i, s.expand(i)).is_ne is False
+        assert ln.is_nash_deviation_oracle(i, s.expand(i)).is_ne is False
     assert ln.classify(inst, TwoSourceState(10**9, 1)).is_ne
 
 
