@@ -35,6 +35,7 @@ from .model import (
     Instance,
     RoutingProfile,
     TrafficSummary,
+    _as_int,
     _conditions,
     check_cap,
     class_loss,
@@ -152,28 +153,38 @@ def best_response_dynamics(
     Past about 2e6 users on a link, rounding in `prefers` can exceed its
     slack, so a move on an exact tie could pass and a profile recur; such a
     run ends budget-exhausted.
+
+    The run walks one flow of lists and builds its one profile when it
+    stops.  A move changes links r and r2 only: r2 takes the rate `_moves`
+    gave it, which reads the same column, and r is re-rated by `link_rate`,
+    so every rate has the bits of a full recomputation.  `max_rounds` must
+    be an int of at least 1 and `seed` a non-negative int, bools rejected.
     """
-    if max_rounds < 1:
+    if _as_int(max_rounds, "max_rounds") < 1:
         raise InvalidInputError(f"max_rounds must be at least 1, got {max_rounds!r}")
+    if _as_int(seed, "seed") < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
     start.validate_for(inst)
     rng = random.Random(seed)
-    prof, t = start, link_rates(inst, start.flow)
+    flow, t = [list(row) for row in start.flow], link_rates(inst, start.flow)
     for rounds in range(1, max_rounds + 1):
-        occupied = [(i, r) for i in range(inst.m) for r in range(inst.m) if prof.flow[i][r] >= 1]
+        occupied = [(i, r) for i in range(inst.m) for r in range(inst.m) if flow[i][r] >= 1]
         rng.shuffle(occupied)
         moved = False
         for i, r in occupied:
             best = None
-            for move in _moves(inst, prof.flow, i, r):
+            for move in _moves(inst, flow, i, r):
                 if best is None or prefers(inst, i, *move, *best):
                     best = move
             if best is not None and prefers(inst, i, *best, r, t[r]):
-                prof = prof.move(i, r, best[0])
-                t = link_rates(inst, prof.flow)
+                r2 = best[0]
+                flow[i][r] -= 1
+                flow[i][r2] += 1
+                t[r], t[r2] = link_rate(inst, flow, r), best[1]
                 moved = True
         if not moved:
-            return BestResponseResult(prof, rounds, "converged")
-    return BestResponseResult(prof, max_rounds, "budget-exhausted")
+            return BestResponseResult(RoutingProfile(flow), rounds, "converged")
+    return BestResponseResult(RoutingProfile(flow), max_rounds, "budget-exhausted")
 
 
 @dataclass(frozen=True)

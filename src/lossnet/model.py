@@ -188,15 +188,6 @@ class RoutingProfile:
             (i, j) for i in range(m) for j in range(m) if i != j and self.flow[i][j] >= 1
         )
 
-    def move(self, origin: int, src_relay: int, dst_relay: int) -> "RoutingProfile":
-        """Profile with one user of class (origin, src_relay) moved to dst_relay."""
-        if self.flow[origin][src_relay] < 1:
-            raise InvalidInputError(f"class ({origin}, {src_relay}) has no user to move")
-        rows = [list(r) for r in self.flow]
-        rows[origin][src_relay] -= 1
-        rows[origin][dst_relay] += 1
-        return RoutingProfile(tuple(tuple(r) for r in rows))
-
     @classmethod
     def all_direct(cls, inst: Instance) -> "RoutingProfile":
         """Every user on its own direct path."""

@@ -49,20 +49,30 @@ _TIE_REL = 1e-12
 class OptimalSolution:
     """A maximizer of the total delivered rate.
 
-    u/v are per-source direct and relayed-in counts in the instance's own
-    index order; `profile` is a concrete flow matrix realizing them.
-    `threshold` is a 1-based split realizing (u, v) by the module's split
-    rule: the one where `solve_optimal` found the optimum (m for all-direct),
-    the smallest one for `brute_force_optimal` (both return all-direct on
-    (3, 2) at q = 1, with thresholds 2 and 1); `b` counts relayed users.
+    `profile` is its flow matrix; u/v (per-source direct and relayed-in
+    counts, in the instance's own index order) and b = sum(v), the number
+    of relayed users, are read from it.  `threshold` is a 1-based split
+    realizing (u, v) by the module's split rule: the one where
+    `solve_optimal` found the optimum (m for all-direct), the smallest one
+    for `brute_force_optimal` (both return all-direct on (3, 2) at q = 1,
+    with thresholds 2 and 1).
     """
 
-    u: tuple[int, ...]
-    v: tuple[int, ...]
     profile: RoutingProfile
     tr: float
     threshold: int
-    b: int
+
+    @property
+    def u(self) -> tuple[int, ...]:
+        return self.profile.u()
+
+    @property
+    def v(self) -> tuple[int, ...]:
+        return self.profile.v()
+
+    @property
+    def b(self) -> int:
+        return sum(self.v)
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,7 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
         return delivered(inst, link_rates(inst, flow)), flow
 
     best_tr, best_flow = scored(counts, [0] * m)
-    best_split, best_b = m, 0
+    best_split = m
     # split == m leaves no receivers: only the all-direct case, already seeded.
     for split in range(1, m):
         donors, receivers = counts[:split], counts[split:]
@@ -252,17 +262,10 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
         u = [level - 1] * j + [level] * (k - j) + list(counts[k:])
         tr, flow = scored(u, [0] * split + _receiver_pops(receivers, qbar, big_b)[0])
         if tr > best_tr:
-            best_tr, best_flow, best_split, best_b = tr, flow, split, big_b
+            best_tr, best_flow, best_split = tr, flow, split
 
     profile = RoutingProfile(best_flow)
-    return OptimalSolution(
-        u=profile.u(),
-        v=profile.v(),
-        profile=profile,
-        tr=total_traffic(inst, profile),
-        threshold=best_split,
-        b=best_b,
-    )
+    return OptimalSolution(profile, total_traffic(inst, profile), best_split)
 
 
 def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolution:
@@ -286,63 +289,37 @@ def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolutio
             best_tr, best_sum_u, best_flow = max(cand_tr, best_tr), cand_sum, blk[..., idx].tolist()
 
     profile = RoutingProfile(best_flow)
-    u, v = profile.u(), profile.v()
-    splits = _splits(inst.user_counts, u, v)
+    splits = _splits(inst.user_counts, profile.u(), profile.v())
     if not splits:
         raise InternalCheckError(
             f"brute-force maximizer violates the split structure: flow={best_flow}"
         )
-    return OptimalSolution(
-        u=u,
-        v=v,
-        profile=profile,
-        tr=total_traffic(inst, profile),
-        threshold=splits[0],
-        b=sum(v),
-    )
+    return OptimalSolution(profile, total_traffic(inst, profile), splits[0])
 
 
 def check_optimal_structure(sol: OptimalSolution) -> list[StructureViolation]:
     """Violations of the structural rules every maximizer must satisfy.
 
-    Empty list iff: stored u/v/b agree with the profile; every source has
-    u_i = n_i or v_i = 0; and the stored split position is realizable by
-    the module's split rule.
+    Empty list iff every source of the profile has u_i = n_i or v_i = 0,
+    and the stored split position is realizable by the module's split rule.
     """
     viols: list[StructureViolation] = []
-    prof = sol.profile
-    m = prof.m
-    counts = tuple(sum(row) for row in prof.flow)
-    pu, pv = prof.u(), prof.v()
+    m, u, v = sol.profile.m, sol.u, sol.v
+    counts = tuple(sum(row) for row in sol.profile.flow)
     for i in range(m):
-        if sol.u[i] != pu[i] or sol.v[i] != pv[i]:
-            viols.append(
-                StructureViolation(
-                    "consistency", i,
-                    f"stored (u,v)=({sol.u[i]},{sol.v[i]}) but profile gives ({pu[i]},{pv[i]})",
-                )
-            )
-    if sol.b != sum(sol.v) or sum(counts) - sum(sol.u) != sum(sol.v):
-        viols.append(
-            StructureViolation(
-                "consistency", -1,
-                f"b={sol.b}, sum(n-u)={sum(counts) - sum(sol.u)}, sum(v)={sum(sol.v)}",
-            )
-        )
-    for i in range(m):
-        if sol.u[i] < counts[i] and sol.v[i] > 0:
+        if u[i] < counts[i] and v[i] > 0:
             viols.append(
                 StructureViolation(
                     "full-or-unrelayed", i,
-                    f"u={sol.u[i]} < n={counts[i]} while v={sol.v[i]} > 0",
+                    f"u={u[i]} < n={counts[i]} while v={v[i]} > 0",
                 )
             )
     if not 1 <= sol.threshold <= m:
         viols.append(
             StructureViolation("threshold-split", -1, f"split {sol.threshold} outside [1, {m}]")
         )
-    elif sol.threshold not in _splits(counts, sol.u, sol.v):
-        bad = next((i for i in range(m) if sol.u[i] < counts[i] and sol.v[i] > 0), -1)
+    elif sol.threshold not in _splits(counts, u, v):
+        bad = next((i for i in range(m) if u[i] < counts[i] and v[i] > 0), -1)
         viols.append(
             StructureViolation(
                 "threshold-split", bad,

@@ -209,7 +209,7 @@ def assess_outcome(
     check_tolerance_sigmas(tolerance_sigmas)
     checks = [
         _check("link-blocking", (j,), lc.blocked, lc.offered,
-               rates[j] / (rates[j] + inst.mu), tolerance_sigmas)
+               class_loss(inst, rates[j], j, j), tolerance_sigmas)
         for j, lc in sorted(outcome.per_link.items())
     ]
     for (i, r), cc in sorted(outcome.per_class.items()):

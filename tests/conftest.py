@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random instances and profiles,
-the exact-rational traffic of a flow, and the three-way agreement check on
-one two-source state."""
+one-user moves, the exact-rational traffic of a flow, and the three-way
+agreement check on one two-source state."""
 
 from __future__ import annotations
 
@@ -32,6 +32,14 @@ def random_profile(rng: random.Random, inst: ln.Instance) -> ln.RoutingProfile:
             row[rng.randrange(inst.m)] += 1
         rows.append(tuple(row))
     return ln.RoutingProfile(tuple(rows))
+
+
+def moved(prof: ln.RoutingProfile, i: int, r: int, r2: int) -> ln.RoutingProfile:
+    """`prof` with one user of class (i, r) moved to route r2."""
+    rows = [list(row) for row in prof.flow]
+    rows[i][r] -= 1
+    rows[i][r2] += 1
+    return ln.RoutingProfile(rows)
 
 
 def exact_traffic(inst: ln.Instance, flow) -> Fraction:

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
 from lossnet.equilibrium import _conditions, _moves
-from lossnet.errors import CapacityError
+from lossnet.errors import CapacityError, InvalidInputError
 from lossnet.model import prefers, profile_blocks
 
-from conftest import count_shapes, random_instance, random_profile
+from conftest import count_shapes, moved, random_instance, random_profile
 
 
 def both_verdicts(inst, prof):
@@ -200,6 +200,43 @@ def test_dynamics_memory_does_not_grow_with_the_path():
     assert res.profile.flow == ((5721, 4279), (0, 1000))
 
 
+FROZEN_DYNAMICS_OUTCOMES = {"converged": 958, "budget-exhausted": 542}
+FROZEN_DYNAMICS_SHA256 = "4ac1a19b12c38113f9a49176782a7db9c1c352575087395157b3149883504b3a"
+
+
+def test_dynamics_results_are_frozen():
+    # sha256 of every run's (flow, rounds, outcome), frozen from dynamics
+    # that re-rated every link after each move; re-rating only the two links
+    # a move touches must keep every bit.
+    rng = random.Random(19)
+    runs = []
+    for _ in range(1500):
+        inst = random_instance(rng, m_choices=(2, 3, 4), n_max=8,
+                               mu_choices=(0.3, 1.0, 2.5, 7.0),
+                               q_choices=(0.0, 0.3, 1.0, rng.random()),
+                               phi=rng.choice((0.5, 1.0, 1.7)))
+        start = random_profile(rng, inst)
+        res = ln.best_response_dynamics(inst, start, max_rounds=rng.choice((1, 3, 50, 50)),
+                                        seed=rng.randrange(2**31))
+        runs.append((res.profile.flow, res.rounds, res.outcome))
+    assert collections.Counter(outcome for *_, outcome in runs) == FROZEN_DYNAMICS_OUTCOMES
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == FROZEN_DYNAMICS_SHA256
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"seed": -7}, "seed"), ({"seed": None}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"), ({"max_rounds": 2.5}, "max_rounds"),
+    ({"max_rounds": True}, "max_rounds"),
+])
+def test_dynamics_rejects_bad_seed_and_max_rounds(kwargs, field):
+    # random.Random seeds with |seed| and draws OS entropy for None, so
+    # -7 would replay seed 7 and None could not be replayed at all.
+    inst = ln.Instance((6, 5, 4), 1.0, 1.0, 0.5)
+    start = ln.RoutingProfile(((0, 3, 3), (2, 1, 2), (1, 1, 2)))
+    with pytest.raises(InvalidInputError, match=field):
+        ln.best_response_dynamics(inst, start, **kwargs)
+
+
 def exact_loss_and_potential(inst, flow, i, r):
     """The exact loss rate of a class-(i, r) user of `flow`, and prod_l (T_l + mu).
 
@@ -239,7 +276,7 @@ def test_every_one_user_move_is_ordered_by_the_potential(data):
             continue
         before, phi_before = exact_loss_and_potential(inst, prof.flow, i, r)
         for r2, t2 in _moves(inst, prof.flow, i, r):
-            after, phi_after = exact_loss_and_potential(inst, prof.move(i, r, r2).flow, i, r2)
+            after, phi_after = exact_loss_and_potential(inst, moved(prof, i, r, r2).flow, i, r2)
             assert (after < before) == (phi_after > phi_before), (inst, flow, i, r, r2)
             assert (after == before) == (phi_after == phi_before), (inst, flow, i, r, r2)
             assert prefers(inst, i, r2, t2, r, t[r]) == (after < before), (inst, flow, i, r, r2)
@@ -507,4 +544,4 @@ def test_move_scan_rates_are_link_rate_bits():
             moves = _moves(inst, prof.flow, i, r)
             assert [r2 for r2, _ in moves] == [r2 for r2 in range(inst.m) if r2 != r]
             for r2, rate in moves:
-                assert rate == ln.traffic_rates(inst, prof.move(i, r, r2))[r2], (inst, prof, i, r)
+                assert rate == ln.traffic_rates(inst, moved(prof, i, r, r2))[r2], (inst, prof, i, r)

@@ -11,7 +11,7 @@ from lossnet.errors import CapacityError, InvalidInputError
 from lossnet.model import delivered, link_rates, profile_blocks
 from lossnet.two_source import TwoSourceState, classify
 
-from conftest import random_instance, random_profile
+from conftest import moved, random_instance, random_profile
 
 
 def test_traffic_rates_all_direct():
@@ -144,8 +144,7 @@ def test_total_traffic_monotone_in_direct_users_at_q1():
         if not edges:
             continue
         i, r = edges[0]
-        moved = prof.move(i, r, i)
-        assert ln.total_traffic(inst, moved) > ln.total_traffic(inst, prof)
+        assert ln.total_traffic(inst, moved(prof, i, r, i)) > ln.total_traffic(inst, prof)
 
 
 def test_profile_row_sums_enforced():
@@ -308,16 +307,6 @@ def test_instance_json_names_first_bad_field():
     for flow, field in (([], "'flow'"), ([[1, 2], 3], r"flow\[1\]")):
         with pytest.raises(InvalidInputError, match=field):
             ln.profile_from_json({"flow": flow})
-
-
-def test_move_conserves_rows():
-    inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
-    prof = ln.RoutingProfile.all_direct(inst)
-    moved = prof.move(0, 0, 1)
-    moved.validate_for(inst)
-    assert moved.flow == ((2, 1), (0, 2))
-    with pytest.raises(InvalidInputError):
-        moved.move(1, 0, 1)  # class (1, 0) is empty
 
 
 def test_aggregates():

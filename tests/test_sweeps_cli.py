@@ -492,6 +492,15 @@ def test_cli_dynamics_rejects_nonpositive_max_rounds(inst_file, tmp_path, capsys
     assert "max_rounds" in capsys.readouterr().err
 
 
+def test_cli_dynamics_rejects_a_negative_seed(tmp_path, capsys):
+    # random.Random seeds with |seed|, so --seed -7 used to replay --seed 7.
+    inst = write_json(tmp_path / "inst.json", {"m": 3, "n": [6, 5, 4], "phi": 1, "mu": 1, "q": 0.5})
+    start = write_json(tmp_path / "start.json", {"flow": [[0, 3, 3], [2, 1, 2], [1, 1, 2]]})
+    rc = cli.main(["dynamics", "--instance", inst, "--start", start, "--seed", "-7"])
+    assert rc == cli.EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+
+
 def test_horizon_overflowing_the_packet_count_is_invalid_input(inst_file, prof_file, capsys):
     # 1e308 time units at 5 packets per unit is no finite packet count.
     rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,

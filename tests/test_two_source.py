@@ -443,6 +443,19 @@ def test_deciders_agree_at_heavy_traffic():
         assert cross_check_state(inst, state), (inst, state)
 
 
+def test_deciders_agree_on_an_exact_tie_in_users():
+    # Moving a class-(0, 0) user to link 1 is an exact tie: both links then
+    # carry the rate of 502,237 users.  The float slack is about 1e-9 * phi
+    # in rate units, so `prefers` passes this only when it divides by phi.
+    inst = ln.Instance((753355, 251118), 77.7, 777.0, 0.0)
+    state = TwoSourceState(251119, 0)
+    prof = state.expand(inst)
+    assert prof.flow == ((251119, 502236), (251118, 0))
+    assert ln.is_nash_characterization(inst, prof).is_ne is True
+    assert ln.is_nash_deviation_oracle(inst, prof).is_ne is True
+    assert cross_check_state(inst, state)
+
+
 def test_case3_upper_companion_condition_is_implied():
     # In the full-small-source region the companion inequality u2 <= t2(u1)
     # follows from u1 >= t1(n2) - 1; sample it rather than trust it.
