@@ -34,7 +34,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, over-long ints, deep nesting
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
 
 

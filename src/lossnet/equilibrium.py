@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .model import (
     Instance,
     RoutingProfile,
@@ -160,10 +159,8 @@ def best_response_dynamics(
     so every rate has the bits of a full recomputation.  `max_rounds` must
     be an int of at least 1 and `seed` a non-negative int, bools rejected.
     """
-    if _as_int(max_rounds, "max_rounds") < 1:
-        raise InvalidInputError(f"max_rounds must be at least 1, got {max_rounds!r}")
-    if _as_int(seed, "seed") < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
+    _as_int(max_rounds, "max_rounds", 1)
+    _as_int(seed, "seed", 0)
     start.validate_for(inst)
     rng = random.Random(seed)
     flow, t = [list(row) for row in start.flow], link_rates(inst, start.flow)

@@ -41,6 +41,9 @@ is: the characterization runs it on one profile in plain Python,
 It and `_conditions` compare in users, with one tie policy: only a slack
 above `TOLERANCE` counts, so indifference counts as equilibrium.
 
+`_as_int` is the package's one integer check: every count, flow entry, state,
+index, seed, round budget, cap and thread count goes through it.
+
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
 """
@@ -60,9 +63,16 @@ from .errors import CapacityError, InvalidInputError
 TOLERANCE = 1e-9
 
 
-def _as_int(x, name: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+def _as_int(x, name: str, least: int | None = None, most: int | None = None) -> int:
+    """x if it is an int, not a bool, in [least, most]; else InvalidInputError naming `name`."""
+    # A plain int stops at the first, cheapest test.
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
         raise InvalidInputError(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidInputError(f"{name} must be {bound}, got {x!r}")
+    if most is not None and x > most:
+        raise InvalidInputError(f"{name} must be at most {most}, got {x!r}")
     return x
 
 
@@ -85,9 +95,7 @@ class Instance:
         if len(self.user_counts) < 1:
             raise InvalidInputError("user_counts must contain at least one source")
         for i, n in enumerate(self.user_counts):
-            _as_int(n, f"user_counts[{i}]")
-            if n < 1:
-                raise InvalidInputError(f"user_counts[{i}] must be >= 1, got {n}")
+            _as_int(n, f"user_counts[{i}]", 1)
         if self.n >= 2**1023:
             raise InvalidInputError(f"{self.n} users overflow the float rate arithmetic")
         if not (self.phi > 0 and math.isfinite(self.phi)):
@@ -150,9 +158,7 @@ class RoutingProfile:
             if len(row) != m:
                 raise InvalidInputError(f"flow row {i} has length {len(row)}, expected {m}")
             for j, c in enumerate(row):
-                _as_int(c, f"flow[{i}][{j}]")
-                if c < 0:
-                    raise InvalidInputError(f"flow[{i}][{j}] must be >= 0, got {c}")
+                _as_int(c, f"flow[{i}][{j}]", 0)
 
     @property
     def m(self) -> int:
@@ -212,11 +218,6 @@ class TrafficSummary:
     total_traffic: float
 
 
-def _check_index(idx: int, m: int, name: str) -> None:
-    if not isinstance(idx, int) or isinstance(idx, bool) or not (0 <= idx < m):
-        raise InvalidInputError(f"{name} must be a source index in [0, {m}), got {idx!r}")
-
-
 def link_rate(inst: Instance, flow, j: int):
     """Offered rate T_j on direct link j; ``flow[i][j]`` is an int or an array.
 
@@ -269,8 +270,8 @@ def loss_rate(inst: Instance, prof: RoutingProfile, origin: int, relay: int) -> 
     The class need not be occupied; rates are those induced by `prof`.
     Loss probability is this value divided by phi.
     """
-    _check_index(origin, inst.m, "origin")
-    _check_index(relay, inst.m, "relay")
+    _as_int(origin, "origin", 0, inst.m - 1)
+    _as_int(relay, "relay", 0, inst.m - 1)
     return class_loss(inst, traffic_rates(inst, prof)[relay], origin, relay, inst.phi)
 
 
@@ -367,9 +368,9 @@ BLOCK = 1024
 
 
 def check_cap(cap: int | None) -> None:
-    """Reject a negative enumeration cap, before any work."""
-    if cap is not None and cap < 0:
-        raise InvalidInputError(f"enumeration cap must be non-negative, got {cap}")
+    """Reject an enumeration cap that is not None or a non-negative int, before any work."""
+    if cap is not None:
+        _as_int(cap, "enumeration cap", 0)
 
 
 def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarray]:
@@ -485,20 +486,20 @@ def _require(obj: dict, key: str) -> object:
 def _as_number(x: object, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInputError(f"field '{name}' must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the float range; its repr can run to 4300 digits
+        raise InvalidInputError(f"field '{name}' is too large for a float") from None
 
 
 def instance_from_json(obj: dict) -> Instance:
     """Parse and validate the instance schema, naming the first bad field."""
-    m = _require(obj, "m")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"field 'm' must be a positive integer, got {m!r}")
+    m = _as_int(_require(obj, "m"), "field 'm'", 1)
     n = _require(obj, "n")
     if not isinstance(n, list) or len(n) != m:
         raise InvalidInputError(f"field 'n' must be a list of {m} integers")
     for i, ni in enumerate(n):
-        if isinstance(ni, bool) or not isinstance(ni, int) or ni < 1:
-            raise InvalidInputError(f"field 'n[{i}]' must be a positive integer, got {ni!r}")
+        _as_int(ni, f"field 'n[{i}]'", 1)
     phi = _as_number(_require(obj, "phi"), "phi")
     mu = _as_number(_require(obj, "mu"), "mu")
     q = _as_number(_require(obj, "q"), "q")
@@ -523,8 +524,7 @@ def profile_from_json(obj: dict) -> RoutingProfile:
         if not isinstance(row, list):
             raise InvalidInputError(f"field 'flow[{i}]' must be a list")
         for j, c in enumerate(row):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InvalidInputError(f"field 'flow[{i}][{j}]' must be an integer, got {c!r}")
+            _as_int(c, f"field 'flow[{i}][{j}]'", 0)
     return RoutingProfile(tuple(tuple(row) for row in flow))
 
 

@@ -42,7 +42,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Instance, RoutingProfile, class_loss, link_rates, sum_left, traffic_rates
+from .model import (Instance, RoutingProfile, _as_int, class_loss, link_rates, sum_left,
+                    traffic_rates)
 
 #: Expected packets per arrival window, over all classes.
 WINDOW = 1 << 16
@@ -61,8 +62,7 @@ class SimConfig:
             raise InvalidInputError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not math.isfinite(self.horizon * self.instance.n * self.instance.phi):
             raise InvalidInputError(f"horizon {self.horizon!r} overflows the packet count")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _as_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
-from .model import Instance, _as_number, check_cap, instance_from_json
+from .model import Instance, _as_int, _as_number, check_cap, instance_from_json
 from .equilibrium import poa_bound, poa_report
 from .optimizer import check_gain_test, solve_optimal
 from .two_source import check_scan_size
@@ -63,9 +63,8 @@ def apply_axis(base: Instance, axis: str, value) -> Instance:
         return Instance(base.user_counts, base.phi, base.mu, _as_number(value, "grid"))
     if axis == "mu":
         return Instance(base.user_counts, base.phi, _as_number(value, "grid"), base.q)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"n1 grid values must be integers, got {value!r}")
-    return Instance((value,) + base.user_counts[1:], base.phi, base.mu, base.q)
+    n1 = _as_int(value, "n1 grid value", 1)
+    return Instance((n1,) + base.user_counts[1:], base.phi, base.mu, base.q)
 
 
 def spec_from_json(obj: dict) -> SweepSpec:
@@ -111,7 +110,7 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
 def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int = 1) -> list[dict]:
     """One row per grid point, in grid order regardless of completion order."""
     check_cap(cap)
-    if threads > 1:
+    if _as_int(threads, "threads", 1) > 1:
         # Imported only when used: the import alone adds about 0.6 MB to a process.
         from concurrent.futures import ThreadPoolExecutor
 

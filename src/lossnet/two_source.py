@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
-from .model import TOLERANCE, Instance, RoutingProfile, _conditions, total_traffic
+from .model import TOLERANCE, Instance, RoutingProfile, _as_int, _conditions, total_traffic
 from .optimizer import solve_optimal
 
 
@@ -56,13 +56,17 @@ class TwoSourceState:
     u1: int
     u2: int
 
-    def expand(self, inst: Instance) -> RoutingProfile:
-        """The unique flow matrix realizing this state."""
+    def _checked(self, inst: Instance) -> tuple[int, int]:
+        """(u1, u2), each an int from 0 to its source's count in the two-source `inst`."""
         _check_two_sources(inst)
         n1, n2 = inst.user_counts
-        if not (0 <= self.u1 <= n1 and 0 <= self.u2 <= n2):
-            raise InvalidInputError(f"state {self} out of range for counts {inst.user_counts}")
-        return RoutingProfile(((self.u1, n1 - self.u1), (n2 - self.u2, self.u2)))
+        return _as_int(self.u1, "u1", 0, n1), _as_int(self.u2, "u2", 0, n2)
+
+    def expand(self, inst: Instance) -> RoutingProfile:
+        """The unique flow matrix realizing this state."""
+        u1, u2 = self._checked(inst)
+        n1, n2 = inst.user_counts
+        return RoutingProfile(((u1, n1 - u1), (n2 - u2, u2)))
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,10 @@ def _case_id(n1: int, n2: int, a1: int, a2: int) -> str:
 
 def classify(inst: Instance, state: TwoSourceState) -> TwoSourceVerdict:
     """Equilibrium verdict for one (u1, u2) state via the region conditions."""
-    _check_two_sources(inst)
+    u = state._checked(inst)
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    u = (state.u1, state.u2)
     a1, a2 = u[perm[0]], u[perm[1]]
-    if not (0 <= a1 <= n1 and 0 <= a2 <= n2):
-        raise InvalidInputError(f"state {state} out of range for counts {inst.user_counts}")
     is_ne = _is_ne(canon, a1, a2)
     th = (None, None) if canon.q == 1.0 else (t1(canon, a2), t2(canon, a1))
     return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])

@@ -632,3 +632,41 @@ def test_cli_missing_output_directory_fails_before_any_work(
     assert cli.main(argv) == cli.EXIT_INVALID
     assert f"cannot write {path}" in capsys.readouterr().err
     assert not data.exists()
+
+
+BASE = {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5}
+
+
+def test_cli_sweep_rejects_zero_threads(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"base": BASE, "axis": "q", "grid": [0.0, 0.5]})
+    out_csv = tmp_path / "data.csv"
+    rc = cli.main(["sweep", "--spec", spec, "--threads", "0", "--out", str(out_csv)])
+    assert rc == cli.EXIT_INVALID
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_cli_instance_number_beyond_the_float_range_is_invalid_input(tmp_path, capsys):
+    # 10**400 parses as an int that float() cannot hold (1e400 parses as inf).
+    inst = write_json(tmp_path / "inst.json", {**BASE, "phi": 10**400})
+    assert cli.main(["poa", "--instance", inst]) == cli.EXIT_INVALID
+    assert "field 'phi' is too large for a float" in capsys.readouterr().err
+
+
+def test_cli_sweep_grid_number_beyond_the_float_range_is_invalid_input(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"base": BASE, "axis": "mu", "grid": [1.0, 10**400]})
+    out_csv = tmp_path / "data.csv"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out_csv)]) == cli.EXIT_INVALID
+    assert "field 'grid' is too large for a float" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" + "0" * 5000],
+                         ids=["deep-nesting", "5001-digit-int"])
+def test_cli_json_beyond_the_decoder_limits_is_invalid_input(tmp_path, capsys, text):
+    # Deep nesting exhausts the decoder's recursion; a 5001-digit int exceeds
+    # Python's digit limit for int conversion.
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["poa", "--instance", str(path)]) == cli.EXIT_INVALID
+    assert f"{path} is not valid JSON" in capsys.readouterr().err
