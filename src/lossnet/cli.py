@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> int:
     prof = _load_profile(args.profile, inst)
     cfg = packet_sim.SimConfig(inst, prof, horizon=args.horizon, seed=args.seed)
     if args.validate:
-        packet_sim.check_tolerance_sigmas(args.sigmas)
+        model._as_real(args.sigmas, "tolerance_sigmas", 0)  # before any simulation runs
     outcome = packet_sim.simulate(cfg)
     out = packet_sim.outcome_to_json(outcome)
     if args.validate:

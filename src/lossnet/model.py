@@ -42,7 +42,9 @@ It and `_conditions` compare in users, with one tie policy: only a slack
 above `TOLERANCE` counts, so indifference counts as equilibrium.
 
 `_as_int` is the package's one integer check: every count, flow entry, state,
-index, seed, round budget, cap and thread count goes through it.
+index, seed, round budget, cap and thread count goes through it.  Its twin
+`_as_real` checks phi, mu, q, horizons and sigma counts and returns Python
+floats, so every analysis runs in float64 whatever type the caller passed.
 
 All functions here are pure and all types immutable; everything is safe to
 call concurrently.
@@ -51,6 +53,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -76,13 +79,33 @@ def _as_int(x, name: str, least: int | None = None, most: int | None = None) -> 
     return x
 
 
+def _as_real(x, name: str, lo: float = -math.inf, hi: float = math.inf, *,
+             exclusive: bool = False) -> float:
+    """float(x) if x is a real number, not a bool, in [lo, hi], or (lo, hi) if `exclusive`.
+
+    Else InvalidInputError naming `name`; NaN lies in no interval.
+    """
+    v = x  # a plain float stops at the first, cheapest test
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+        try:
+            v = float(x)
+        except OverflowError:  # an int beyond the float range; its repr can run to 4300 digits
+            raise InvalidInputError(f"{name} is too large for a float") from None
+    if (lo < v < hi) if exclusive else (lo <= v <= hi):
+        return v
+    ends = "()" if exclusive else "[]"
+    raise InvalidInputError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable network parameters.
 
     user_counts -- users per source (all >= 1); phi -- per-user Poisson
     arrival rate; mu -- exponential service rate of every direct link;
-    q -- sidelink loss probability in [0, 1].
+    q -- sidelink loss probability in [0, 1].  The three reals are floats.
     """
 
     user_counts: tuple[int, ...]
@@ -98,12 +121,9 @@ class Instance:
             _as_int(n, f"user_counts[{i}]", 1)
         if self.n >= 2**1023:
             raise InvalidInputError(f"{self.n} users overflow the float rate arithmetic")
-        if not (self.phi > 0 and math.isfinite(self.phi)):
-            raise InvalidInputError(f"phi must be a positive finite real, got {self.phi!r}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise InvalidInputError(f"mu must be a positive finite real, got {self.mu!r}")
-        if not (0.0 <= self.q <= 1.0):
-            raise InvalidInputError(f"q must lie in [0, 1], got {self.q!r}")
+        object.__setattr__(self, "phi", _as_real(self.phi, "phi", 0, math.inf, exclusive=True))
+        object.__setattr__(self, "mu", _as_real(self.mu, "mu", 0, math.inf, exclusive=True))
+        object.__setattr__(self, "q", _as_real(self.q, "q", 0, 1))
         for name, value in (("n*phi*mu", self.n * self.phi * self.mu),
                             ("n*phi**2", self.n * self.phi * self.phi),
                             ("q*mu/phi", self.q * self.mu / self.phi)):
@@ -183,17 +203,6 @@ class RoutingProfile:
         m = self.m
         return tuple(sum(self.flow[i][j] for i in range(m) if i != j) for j in range(m))
 
-    def y(self) -> tuple[int, ...]:
-        """Users whose route crosses each direct link: y_i = u_i + v_i."""
-        return tuple(a + b for a, b in zip(self.u(), self.v()))
-
-    def indirect_edges(self) -> tuple[tuple[int, int], ...]:
-        """Occupied indirect classes: pairs (i, j), i != j, with flow[i][j] >= 1."""
-        m = self.m
-        return tuple(
-            (i, j) for i in range(m) for j in range(m) if i != j and self.flow[i][j] >= 1
-        )
-
     @classmethod
     def all_direct(cls, inst: Instance) -> "RoutingProfile":
         """Every user on its own direct path."""
@@ -224,7 +233,7 @@ def link_rate(inst: Instance, flow, j: int):
     Arrays of counts must share one shape; each element gets its int version's bits.
     """
     qbar, phi = inst.qbar, inst.phi
-    t = flow[j][j] * 1.0 * phi
+    t = flow[j][j] * phi
     for i in range(len(flow)):
         if i != j:
             t = t + flow[i][j] * qbar * phi
@@ -483,15 +492,6 @@ def _require(obj: dict, key: str) -> object:
     return obj[key]
 
 
-def _as_number(x: object, name: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InvalidInputError(f"field '{name}' must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # an int beyond the float range; its repr can run to 4300 digits
-        raise InvalidInputError(f"field '{name}' is too large for a float") from None
-
-
 def instance_from_json(obj: dict) -> Instance:
     """Parse and validate the instance schema, naming the first bad field."""
     m = _as_int(_require(obj, "m"), "field 'm'", 1)
@@ -500,9 +500,7 @@ def instance_from_json(obj: dict) -> Instance:
         raise InvalidInputError(f"field 'n' must be a list of {m} integers")
     for i, ni in enumerate(n):
         _as_int(ni, f"field 'n[{i}]'", 1)
-    phi = _as_number(_require(obj, "phi"), "phi")
-    mu = _as_number(_require(obj, "mu"), "mu")
-    q = _as_number(_require(obj, "q"), "q")
+    phi, mu, q = (_as_real(_require(obj, k), f"field '{k}'") for k in ("phi", "mu", "q"))
     return Instance(tuple(n), phi, mu, q)
 
 

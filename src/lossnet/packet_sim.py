@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import (Instance, RoutingProfile, _as_int, class_loss, link_rates, sum_left,
-                    traffic_rates)
+from .model import (Instance, RoutingProfile, _as_int, _as_real, class_loss, link_rates,
+                    sum_left, traffic_rates)
 
 #: Expected packets per arrival window, over all classes.
 WINDOW = 1 << 16
@@ -58,8 +58,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         self.profile.validate_for(self.instance)
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise InvalidInputError(f"horizon must be positive and finite, got {self.horizon!r}")
+        horizon = _as_real(self.horizon, "horizon", 0, math.inf, exclusive=True)
+        object.__setattr__(self, "horizon", horizon)
         if not math.isfinite(self.horizon * self.instance.n * self.instance.phi):
             raise InvalidInputError(f"horizon {self.horizon!r} overflows the packet count")
         _as_int(self.seed, "seed", 0)
@@ -171,12 +171,6 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def check_tolerance_sigmas(tolerance_sigmas: float) -> None:
-    """Reject a negative or NaN sigma count, before any simulation runs."""
-    if not tolerance_sigmas >= 0:
-        raise InvalidInputError(f"tolerance_sigmas must be non-negative, got {tolerance_sigmas!r}")
-
-
 def _check(
     kind: str, key: tuple, losses: int, trials: int, expected: float, sigmas: float
 ) -> Check:
@@ -206,7 +200,7 @@ def assess_outcome(
     Exposed separately from `validate_analytics` so negative controls can
     inject deliberately wrong rates.  Zero-sample assertions pass vacuously.
     """
-    check_tolerance_sigmas(tolerance_sigmas)
+    tolerance_sigmas = _as_real(tolerance_sigmas, "tolerance_sigmas", 0)
     checks = [
         _check("link-blocking", (j,), lc.blocked, lc.offered,
                class_loss(inst, rates[j], j, j), tolerance_sigmas)
@@ -225,7 +219,7 @@ def validate_analytics(cfg: SimConfig, tolerance_sigmas: float = 3.0) -> Validat
     class: empirical loss fraction against the class loss probability.
     Failures are returned as data, never raised.
     """
-    check_tolerance_sigmas(tolerance_sigmas)
+    _as_real(tolerance_sigmas, "tolerance_sigmas", 0)  # before any simulation runs
     outcome = simulate(cfg)
     rates = traffic_rates(cfg.instance, cfg.profile)
     return assess_outcome(cfg.instance, cfg.profile, outcome, rates, tolerance_sigmas)

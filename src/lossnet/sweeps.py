@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
-from .model import Instance, _as_int, _as_number, check_cap, instance_from_json
+from .model import Instance, _as_int, _as_real, check_cap, instance_from_json
 from .equilibrium import poa_bound, poa_report
 from .optimizer import check_gain_test, solve_optimal
 from .two_source import check_scan_size
@@ -60,9 +60,9 @@ class SweepSpec:
 def apply_axis(base: Instance, axis: str, value) -> Instance:
     """The base instance with one parameter replaced by a grid value."""
     if axis == "q":
-        return Instance(base.user_counts, base.phi, base.mu, _as_number(value, "grid"))
+        return Instance(base.user_counts, base.phi, base.mu, _as_real(value, "field 'grid'"))
     if axis == "mu":
-        return Instance(base.user_counts, base.phi, _as_number(value, "grid"), base.q)
+        return Instance(base.user_counts, base.phi, _as_real(value, "field 'grid'"), base.q)
     n1 = _as_int(value, "n1 grid value", 1)
     return Instance((n1,) + base.user_counts[1:], base.phi, base.mu, base.q)
 

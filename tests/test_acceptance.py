@@ -120,7 +120,8 @@ def test_criterion_2_degenerate_loss_regimes():
         m = rng.choice((2, 3))
         counts = tuple(rng.randint(1, 10) for _ in range(m))
         inst = ln.Instance(counts, 1.0, rng.choice((0.5, 1.0, 2.0, 5.0)), 0.0)
-        y = ln.solve_optimal(inst).profile.y()
+        # The link rates are the users per link at q = 0 and phi = 1.
+        y = ln.traffic_rates(inst, ln.solve_optimal(inst).profile)
         ok = ok and max(y) - min(y) <= 1
     verdict(
         2, "q=1 gives the all-direct optimum and q=0 balances link loads", ok,

@@ -140,7 +140,8 @@ def test_total_traffic_monotone_in_direct_users_at_q1():
     for _ in range(30):
         inst = random_instance(rng, q_choices=(1.0,))
         prof = random_profile(rng, inst)
-        edges = prof.indirect_edges()
+        edges = [(i, r) for i in range(inst.m) for r in range(inst.m)
+                 if i != r and prof.flow[i][r] >= 1]
         if not edges:
             continue
         i, r = edges[0]
@@ -313,5 +314,5 @@ def test_aggregates():
     prof = ln.RoutingProfile(((2, 1, 0), (1, 1, 1), (0, 0, 2)))
     assert prof.u() == (2, 1, 2)
     assert prof.v() == (1, 1, 1)
-    assert prof.y() == (3, 2, 3)
-    assert prof.indirect_edges() == ((0, 1), (1, 0), (1, 2))
+    # At phi = 1 and q = 0 a link's rate is the number of users it carries.
+    assert ln.traffic_rates(ln.Instance((3, 3, 2), 1.0, 1.0, 0.0), prof) == (3, 2, 3)

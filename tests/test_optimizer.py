@@ -43,12 +43,12 @@ def test_q1_returns_all_direct_exactly():
 def test_q0_balances_loads():
     inst = ln.Instance((3, 1), 1.0, 1.0, 0.0)
     sol = ln.solve_optimal(inst)
-    assert sol.profile.y() == (2, 2)
+    assert ln.traffic_rates(inst, sol.profile) == (2, 2)  # users per link at q = 0, phi = 1
     assert sol.u == (2, 1) and sol.v == (0, 1)
     rng = random.Random(5)
     for _ in range(20):
         inst = random_instance(rng, m_choices=(2, 3, 4), q_choices=(0.0,))
-        y = ln.solve_optimal(inst).profile.y()
+        y = ln.traffic_rates(inst, ln.solve_optimal(inst).profile)
         assert max(y) - min(y) <= 1
 
 
@@ -100,7 +100,7 @@ def test_brute_force_two_singletons_q0():
     inst = ln.Instance((1, 1), 1.0, 1.0, 0.0)
     sol = ln.brute_force_optimal(inst)
     assert sol.tr == pytest.approx(1.0, rel=1e-12)
-    y = sol.profile.y()
+    y = ln.traffic_rates(inst, sol.profile)
     assert max(y) - min(y) <= 1
 
 
