@@ -49,11 +49,14 @@ def _writing(path: str):
 
 def _check_writable(*paths: str | None, directory: str | None = None) -> None:
     """Reject, before any work, an output path whose directory does not exist,
-    an output `directory` that exists as something other than a directory,
-    and an output `directory` that is also one of the file `paths`."""
+    an output file or `directory` that exists as the other kind, and an output
+    `directory` that is also one of the file `paths`."""
     for path in (*paths, directory):
         if path is not None and not Path(path).parent.is_dir():
             raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+    for path in paths:
+        if path and Path(path).is_dir():  # "" means no file, not the current directory
+            raise InvalidInputError(f"cannot write {path}: it is a directory")
     if directory is None:
         return
     if Path(directory).exists() and not Path(directory).is_dir():
@@ -228,7 +231,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_writable(args.out, directory=args.plot_data)
     spec = sweeps.spec_from_json(_load_json(args.spec))
-    rows = sweeps.run_sweep(spec, cap=args.cap, threads=args.threads)
+    rows = sweeps.run_sweep(spec, cap=args.cap)
     with _writing(args.out):
         sweeps.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -300,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--plot-data", help="directory for gnuplot series files")
     p.set_defaults(func=_cmd_sweep)
 

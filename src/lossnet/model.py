@@ -372,7 +372,7 @@ def count_profiles(inst: Instance) -> int:
     return total
 
 
-#: Most profiles in one block yielded by `profile_blocks`.
+#: Most profiles in one block yielded by `profile_blocks` (at m <= 4; fewer above).
 BLOCK = 1024
 
 
@@ -383,7 +383,7 @@ def check_cap(cap: int | None) -> None:
 
 
 def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Every valid profile as (m, m, k) int64 flow blocks, k <= BLOCK, profiles last.
+    """Every valid profile as (m, m, k) int64 flow blocks, k <= width, profiles last.
 
     ``blk[i, j]`` is the contiguous row of flow[i][j] over the block's k
     profiles, which come in `iter_profiles` order.  CapacityError (more
@@ -391,7 +391,9 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     users for int64) are raised here, before any block is built.  A block
     joins `per_block` consecutive heads (the leading m - 1 rows, regrouped
     from their own blocks) with the last row: all of it when it is short,
-    one chunk of it when it is longer than BLOCK.
+    one chunk of it when it is longer than the width.  Each of the m levels
+    of the row recursion holds one block, so the width, k's bound, is
+    max(1, min(BLOCK, 16 * BLOCK // m**2)): at most 16 * BLOCK entries a block.
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
@@ -399,24 +401,24 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     total = count_profiles(inst)
     if cap is not None and total > cap:
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")
-    return _blocks(inst.user_counts, inst.m)
+    return _blocks(inst.user_counts, inst.m, max(1, min(BLOCK, 16 * BLOCK // inst.m**2)))
 
 
-def _blocks(counts: tuple[int, ...], m: int) -> Iterator[np.ndarray]:
+def _blocks(counts: tuple[int, ...], m: int, width: int) -> Iterator[np.ndarray]:
     """Rows with these user counts, every combination ascending lex, as (len(counts), m, k) blocks.
 
-    The heads are the blocks of counts[:-1] (one empty head when no row is
-    left).  The last row's chunks are built once when it has at most
-    64 * BLOCK compositions, and again for each group of heads otherwise.
+    k <= `width`.  The heads are the blocks of counts[:-1] (one empty head when
+    no row is left).  The last row's size * m entries are built once when at
+    most 192 * width, and again for each group of heads otherwise.
     """
     if not counts:
         yield np.empty((0, m, 1), dtype=np.int64)
         return
     size = math.comb(counts[-1] + m - 1, m - 1)
-    per_block = max(1, BLOCK // size)
-    tails = list(_row_chunks(counts[-1], m)) if size <= 64 * BLOCK else None
-    for lead in _groups(_blocks(counts[:-1], m), per_block):
-        for tail in tails or _row_chunks(counts[-1], m):
+    per_block = max(1, width // size)
+    tails = list(_row_chunks(counts[-1], m, width)) if size * m <= 192 * width else None
+    for lead in _groups(_blocks(counts[:-1], m, width), per_block):
+        for tail in tails or _row_chunks(counts[-1], m, width):
             yield _product(lead, tail[None])
 
 
@@ -447,8 +449,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(ra + b.shape[0], m, -1)
 
 
-def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
-    """compositions(total, m) as (m, k) int64 arrays of at most BLOCK columns.
+def _row_chunks(total: int, m: int, width: int) -> Iterator[np.ndarray]:
+    """compositions(total, m) as (m, k) int64 arrays of at most `width` columns.
 
     The first m - 2 parts are walked in Python; the last two, (a, rest - a),
     come from one arange per walked prefix.
@@ -458,9 +460,9 @@ def _row_chunks(total: int, m: int) -> Iterator[np.ndarray]:
         return
     parts, have = [], 0
     for *prefix, rest in compositions(total, m - 1):
-        for start in range(0, rest + 1, BLOCK):
-            a = np.arange(start, min(rest + 1, start + BLOCK), dtype=np.int64)
-            if have + len(a) > BLOCK:
+        for start in range(0, rest + 1, width):
+            a = np.arange(start, min(rest + 1, start + width), dtype=np.int64)
+            if have + len(a) > width:
                 yield np.concatenate(parts, axis=1)
                 parts, have = [], 0
             piece = np.empty((m, len(a)), dtype=np.int64)

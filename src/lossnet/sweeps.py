@@ -108,14 +108,9 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
 
 
 def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int = 1) -> list[dict]:
-    """One row per grid point, in grid order regardless of completion order."""
+    """One row per grid point, in grid order, in the calling thread; `threads` must be 1."""
     check_cap(cap)
-    if _as_int(threads, "threads", 1) > 1:
-        # Imported only when used: the import alone adds about 0.6 MB to a process.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda g: _row(spec, g, cap), spec.grid))
+    _as_int(threads, "threads", 1, 1)
     return [_row(spec, g, cap) for g in spec.grid]
 
 

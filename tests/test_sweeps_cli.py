@@ -74,11 +74,6 @@ def test_csv_is_deterministic_and_parseable():
         _fmt(True)
 
 
-def test_threaded_sweep_matches_serial():
-    spec = small_spec()
-    assert rows_to_csv(run_sweep(spec, threads=4)) == rows_to_csv(run_sweep(spec, threads=1))
-
-
 def test_na_markers_when_enumeration_is_infeasible():
     base = ln.Instance((8, 8, 8), 1.0, 1.0, 0.5)
     spec = SweepSpec(base=base, axis="q", grid=(0.2,))
@@ -600,7 +595,8 @@ def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_p
 
 
 @pytest.mark.parametrize(
-    "command", ["enumerate-ne", "sweep", "sweep-plot-data", "sweep-plot-data-file", "simulate"]
+    "command", ["enumerate-ne", "sweep", "sweep-plot-data", "sweep-plot-data-file", "simulate",
+                "enumerate-ne-dir", "sweep-dir", "simulate-dir"]
 )
 def test_cli_missing_output_directory_fails_before_any_work(
     inst_file, prof_file, tmp_path, capsys, monkeypatch, command
@@ -618,6 +614,8 @@ def test_cli_missing_output_directory_fails_before_any_work(
     )
     nowhere = str(tmp_path / "no-such-dir" / "x.csv")
     a_file = str(tmp_path / "spec.json")  # exists, and cannot hold the plot files
+    (tmp_path / "out").mkdir()
+    a_dir = str(tmp_path / "out")  # exists, and cannot be written as a file
     data = tmp_path / "data.csv"
     argv, path = {
         "enumerate-ne": (["enumerate-ne", "--instance", inst_file, "--out", nowhere], nowhere),
@@ -628,6 +626,10 @@ def test_cli_missing_output_directory_fails_before_any_work(
             ["sweep", "--spec", spec, "--out", str(data), "--plot-data", a_file], a_file),
         "simulate": (["simulate", "--instance", inst_file, "--profile", prof_file,
                       "--horizon", "2e6", "--out-csv", nowhere], nowhere),
+        "enumerate-ne-dir": (["enumerate-ne", "--instance", inst_file, "--out", a_dir], a_dir),
+        "sweep-dir": (["sweep", "--spec", spec, "--out", a_dir], a_dir),
+        "simulate-dir": (["simulate", "--instance", inst_file, "--profile", prof_file,
+                          "--horizon", "2e6", "--out-csv", a_dir], a_dir),
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
     assert f"cannot write {path}" in capsys.readouterr().err
@@ -637,12 +639,13 @@ def test_cli_missing_output_directory_fails_before_any_work(
 BASE = {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5}
 
 
-def test_cli_sweep_rejects_zero_threads(tmp_path, capsys):
+def test_cli_sweep_has_no_threads_option(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"base": BASE, "axis": "q", "grid": [0.0, 0.5]})
     out_csv = tmp_path / "data.csv"
-    rc = cli.main(["sweep", "--spec", spec, "--threads", "0", "--out", str(out_csv)])
-    assert rc == cli.EXIT_INVALID
-    assert "threads must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--spec", spec, "--threads", "1", "--out", str(out_csv)])
+    assert exc.value.code == cli.EXIT_INVALID
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
     assert not out_csv.exists()
 
 
