@@ -67,6 +67,6 @@ from .packet_sim import (
     simulate,
     validate_analytics,
 )
-from .sweeps import SweepSpec, emit_plot_data, figure_presets, run_sweep
+from .sweeps import SweepSpec, figure_presets, run_sweep
 
 __version__ = "0.1.0"

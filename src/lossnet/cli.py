@@ -47,22 +47,14 @@ def _writing(path: str):
         raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
-def _check_writable(*paths: str | None, directory: str | None = None) -> None:
-    """Reject, before any work, an output path whose directory does not exist,
-    an output file or `directory` that exists as the other kind, and an output
-    `directory` that is also one of the file `paths`."""
-    for path in (*paths, directory):
-        if path is not None and not Path(path).parent.is_dir():
-            raise InvalidInputError(f"cannot write {path}: its directory does not exist")
-    for path in paths:
-        if path and Path(path).is_dir():  # "" means no file, not the current directory
-            raise InvalidInputError(f"cannot write {path}: it is a directory")
-    if directory is None:
-        return
-    if Path(directory).exists() and not Path(directory).is_dir():
-        raise InvalidInputError(f"cannot write {directory}: it is not a directory")
-    if any(p is not None and Path(p).resolve() == Path(directory).resolve() for p in paths):
-        raise InvalidInputError(f"cannot write {directory}: it is also an output file")
+def _check_writable(path: str | None) -> None:
+    """Reject, before any work, an output path whose directory does not exist
+    or that is an existing directory.  None means no file; "" is invalid, as it
+    names the current directory."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+    if path is not None and Path(path).is_dir():
+        raise InvalidInputError(f"cannot write {path}: it is a directory")
 
 
 def _load_instance(path: str) -> model.Instance:
@@ -91,6 +83,7 @@ def _solution_json(sol: optimizer.OptimalSolution) -> dict:
 
 
 def _cmd_solve_opt(args) -> int:
+    model.check_cap(args.oracle_cap)  # with or without --oracle, before any work
     inst = _load_instance(args.instance)
     sol = optimizer.solve_optimal(inst)
     out = _solution_json(sol)
@@ -202,7 +195,6 @@ def _cmd_two_source(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_writable(args.out_csv)
     inst = _load_instance(args.instance)
     prof = _load_profile(args.profile, inst)
     cfg = packet_sim.SimConfig(inst, prof, horizon=args.horizon, seed=args.seed)
@@ -215,30 +207,17 @@ def _cmd_simulate(args) -> int:
             inst, prof, outcome, model.traffic_rates(inst, prof), args.sigmas
         )
         out["validation"] = {"passed": report.passed, **asdict(report)}
-    if args.out_csv:
-        lines = ["link,offered,blocked,empirical_block_prob,std_err"]
-        for j, lc in sorted(outcome.per_link.items()):
-            lines.append(
-                f"{j},{lc.offered},{lc.blocked},"
-                f"{lc.empirical_block_prob!r},{lc.std_err!r}"
-            )
-        with _writing(args.out_csv):
-            Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     _emit(out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    _check_writable(args.out, directory=args.plot_data)
+    _check_writable(args.out)
     spec = sweeps.spec_from_json(_load_json(args.spec))
     rows = sweeps.run_sweep(spec, cap=args.cap)
     with _writing(args.out):
         sweeps.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
-    if args.plot_data:
-        with _writing(args.plot_data):
-            written = sweeps.emit_plot_data(spec, rows, args.plot_data)
-        print(f"wrote {len(written)} plot files to {args.plot_data}")
     return EXIT_OK
 
 
@@ -296,14 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--validate", action="store_true")
     p.add_argument("--sigmas", type=float, default=3.0)
-    p.add_argument("--out-csv", help="per-link CSV output path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--plot-data", help="directory for gnuplot series files")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

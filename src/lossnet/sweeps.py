@@ -137,39 +137,6 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
 
 
-def emit_plot_data(
-    spec: SweepSpec, rows: list[dict], outdir: str | Path, stem: str = "sweep"
-) -> list[Path]:
-    """Columnar series files plus a gnuplot script stub.
-
-    One two-column file per requested output, headed by the exact output
-    name; "na" marks missing points.  Regeneration from the same spec is
-    byte-identical.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for out in spec.outputs:
-        path = outdir / f"{stem}_{out}.dat"
-        lines = [f"axis_value {out}"]
-        for row in rows:
-            lines.append(f"{_fmt(row['axis_value'])} {_fmt(row[out])}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(path)
-    script = outdir / f"{stem}.gp"
-    plot_lines = [
-        f"set datafile missing '{NA}'",
-        "set key autotitle columnhead",
-        f"set xlabel '{spec.axis}'",
-    ]
-    for out in spec.outputs:
-        plot_lines.append(f"plot '{stem}_{out}.dat' using 1:2 with lines")
-        plot_lines.append("pause -1")
-    script.write_text("\n".join(plot_lines) + "\n", encoding="utf-8", newline="\n")
-    written.append(script)
-    return written
-
-
 def figure_presets() -> dict[str, SweepSpec]:
     """Built-in sweep presets for the bundled experiments.
 

@@ -39,7 +39,6 @@ def test_readme_python_blocks_print_what_their_comments_promise(tmp_path, monkey
             assert got.startswith(want[:-3]) if want.endswith("...") else got == want
     assert promised == [[], ["(3, 2) (0, 0) 1.4166...", "True", "1.0", "True"]]
     assert (tmp_path / "q_sweep.csv").is_file()
-    assert (tmp_path / "plots" / "q_sweep.gp").is_file()
 
 
 def command_lines():

@@ -14,7 +14,6 @@ from lossnet.sweeps import (
     SweepSpec,
     _fmt,
     apply_axis,
-    emit_plot_data,
     rows_to_csv,
     run_sweep,
     spec_from_json,
@@ -95,25 +94,6 @@ def test_capacity_fallback_matches_enumerated_row():
     assert capped["ne_count"] == NA and full["ne_count"] != NA
     assert capped["tr_opt"] == full["tr_opt"]
     assert capped["poa_bound"] == full["poa_bound"] == ln.poa_bound(base)
-
-
-def test_plot_data_headers_and_round_trip(tmp_path):
-    spec = small_spec(outputs=("poa_exact", "tr_opt"))
-    rows = run_sweep(spec)
-    files = emit_plot_data(spec, rows, tmp_path, stem="fig")
-    names = {f.name for f in files}
-    assert names == {"fig_poa_exact.dat", "fig_tr_opt.dat", "fig.gp"}
-    poa_file = tmp_path / "fig_poa_exact.dat"
-    lines = poa_file.read_text().splitlines()
-    assert lines[0] == "axis_value poa_exact"
-    parsed = [line.split(" ") for line in lines[1:]]
-    assert [float(p[0]) for p in parsed] == [0.0, 0.25, 0.5, 1.0]
-    for p, row in zip(parsed, rows):
-        assert float(p[1]) == row["poa_exact"]
-    # regeneration is byte-identical
-    before = {f.name: f.read_bytes() for f in files}
-    for f in emit_plot_data(spec, rows, tmp_path, stem="fig"):
-        assert f.read_bytes() == before[f.name]
 
 
 def test_spec_json_parsing():
@@ -357,17 +337,18 @@ def test_cli_enumerate_ne_to_stdout_matches_the_library(tmp_path, capsys):
         assert float(tr) == summary.total_traffic
 
 
-def test_cli_simulate_with_csv(inst_file, prof_file, tmp_path, capsys):
-    links_csv = tmp_path / "links.csv"
+def test_cli_simulate_with_csv(inst_file, prof_file, capsys):
     rc = cli.main(
         ["simulate", "--instance", inst_file, "--profile", prof_file,
-         "--horizon", "2000", "--seed", "1", "--validate", "--out-csv", str(links_csv)]
+         "--horizon", "2000", "--seed", "1", "--validate"]
     )
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["validation"]["passed"] is True
-    header = links_csv.read_text().splitlines()[0]
-    assert header == "link,offered,blocked,empirical_block_prob,std_err"
+    assert out["per_link"] and all(
+        list(entry) == ["link", "offered", "blocked", "empirical_block_prob", "std_err"]
+        for entry in out["per_link"]
+    )
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -380,10 +361,9 @@ def test_cli_sweep(tmp_path, capsys):
         },
     )
     out_csv = tmp_path / "data.csv"
-    rc = cli.main(["sweep", "--spec", spec, "--out", str(out_csv), "--plot-data", str(tmp_path / "p")])
+    rc = cli.main(["sweep", "--spec", spec, "--out", str(out_csv)])
     assert rc == 0
     assert out_csv.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
-    assert (tmp_path / "p" / "sweep_poa_exact.dat").exists()
 
 
 def test_cli_invalid_input_exit_code(tmp_path, capsys):
@@ -535,10 +515,16 @@ def test_cli_enumerate_ne_rejects_negative_cap(inst_file, capsys):
     assert "cap must be non-negative" in capsys.readouterr().err
 
 
-def test_cli_solve_opt_rejects_negative_oracle_cap(inst_file, capsys):
-    rc = cli.main(["solve-opt", "--instance", inst_file, "--oracle", "--oracle-cap", "-1"])
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["no-oracle", "oracle"])
+def test_cli_solve_opt_rejects_negative_oracle_cap(inst_file, capsys, monkeypatch, oracle):
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve_optimal ran before --oracle-cap was checked")
+
+    monkeypatch.setattr(cli.optimizer, "solve_optimal", no_work)
+    rc = cli.main(["solve-opt", "--instance", inst_file, *oracle, "--oracle-cap", "-1"])
     assert rc == cli.EXIT_INVALID
-    assert "cap must be non-negative" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cap must be non-negative" in captured.err and captured.out == ""
 
 
 def test_cli_poa_rejects_negative_cap_on_two_sources(inst_file, capsys):
@@ -571,41 +557,33 @@ def test_cli_sweep_rejects_negative_cap_on_two_sources(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("command", ["enumerate-ne", "sweep", "sweep-plot-data", "simulate"])
-def test_cli_unwritable_output_path_is_invalid_input(inst_file, prof_file, tmp_path, capsys,
-                                                     command):
+@pytest.mark.parametrize("command", ["enumerate-ne", "sweep"])
+def test_cli_unwritable_output_path_is_invalid_input(inst_file, tmp_path, capsys, command):
     spec = write_json(
         tmp_path / "spec.json",
         {"base": {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5},
          "axis": "q", "grid": [0.5]},
     )
     nowhere = str(tmp_path / "no-such-dir" / "x.csv")
-    a_file = str(tmp_path / "data.csv")  # a regular file cannot hold the plot files
-    argv, path = {
-        "enumerate-ne": (["enumerate-ne", "--instance", inst_file, "--out", nowhere], nowhere),
-        "sweep": (["sweep", "--spec", spec, "--out", nowhere], nowhere),
-        "sweep-plot-data": (["sweep", "--spec", spec, "--out", a_file, "--plot-data", a_file],
-                            a_file),
-        "simulate": (["simulate", "--instance", inst_file, "--profile", prof_file,
-                      "--horizon", "100", "--out-csv", nowhere], nowhere),
+    argv = {
+        "enumerate-ne": ["enumerate-ne", "--instance", inst_file, "--out", nowhere],
+        "sweep": ["sweep", "--spec", spec, "--out", nowhere],
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
-    assert f"cannot write {path}" in capsys.readouterr().err
-    assert not (tmp_path / "data.csv").exists()  # rejected before any work
+    assert f"cannot write {nowhere}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "command", ["enumerate-ne", "sweep", "sweep-plot-data", "sweep-plot-data-file", "simulate",
-                "enumerate-ne-dir", "sweep-dir", "simulate-dir"]
+    "command", ["enumerate-ne", "sweep", "enumerate-ne-dir", "sweep-dir", "enumerate-ne-empty",
+                "sweep-empty"]
 )
 def test_cli_missing_output_directory_fails_before_any_work(
-    inst_file, prof_file, tmp_path, capsys, monkeypatch, command
+    inst_file, tmp_path, capsys, monkeypatch, command
 ):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the output path was checked")
 
-    for owner, name in ((cli.packet_sim, "simulate"), (cli.equilibrium, "enumerate_nash"),
-                        (cli.sweeps, "run_sweep")):
+    for owner, name in ((cli.equilibrium, "enumerate_nash"), (cli.sweeps, "run_sweep")):
         monkeypatch.setattr(owner, name, no_work)
     spec = write_json(
         tmp_path / "spec.json",
@@ -613,40 +591,47 @@ def test_cli_missing_output_directory_fails_before_any_work(
          "axis": "q", "grid": [0.5]},
     )
     nowhere = str(tmp_path / "no-such-dir" / "x.csv")
-    a_file = str(tmp_path / "spec.json")  # exists, and cannot hold the plot files
     (tmp_path / "out").mkdir()
     a_dir = str(tmp_path / "out")  # exists, and cannot be written as a file
-    data = tmp_path / "data.csv"
     argv, path = {
         "enumerate-ne": (["enumerate-ne", "--instance", inst_file, "--out", nowhere], nowhere),
         "sweep": (["sweep", "--spec", spec, "--out", nowhere], nowhere),
-        "sweep-plot-data": (
-            ["sweep", "--spec", spec, "--out", str(data), "--plot-data", nowhere], nowhere),
-        "sweep-plot-data-file": (
-            ["sweep", "--spec", spec, "--out", str(data), "--plot-data", a_file], a_file),
-        "simulate": (["simulate", "--instance", inst_file, "--profile", prof_file,
-                      "--horizon", "2e6", "--out-csv", nowhere], nowhere),
         "enumerate-ne-dir": (["enumerate-ne", "--instance", inst_file, "--out", a_dir], a_dir),
         "sweep-dir": (["sweep", "--spec", spec, "--out", a_dir], a_dir),
-        "simulate-dir": (["simulate", "--instance", inst_file, "--profile", prof_file,
-                          "--horizon", "2e6", "--out-csv", a_dir], a_dir),
+        # "" names the current directory; leaving out --out is how to ask for stdout
+        "enumerate-ne-empty": (["enumerate-ne", "--instance", inst_file, "--out", ""], ""),
+        "sweep-empty": (["sweep", "--spec", spec, "--out", ""], ""),
     }[command]
     assert cli.main(argv) == cli.EXIT_INVALID
-    assert f"cannot write {path}" in capsys.readouterr().err
-    assert not data.exists()
+    captured = capsys.readouterr()
+    assert f"cannot write {path}" in captured.err and captured.out == ""
 
 
 BASE = {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5}
 
 
-def test_cli_sweep_has_no_threads_option(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, option",
+    [("sweep", ["--threads", "1"]), ("sweep", ["--plot-data", "plots"]),
+     ("simulate", ["--out-csv", "links.csv"])],
+    ids=["sweep-threads", "sweep-plot-data", "simulate-out-csv"],
+)
+def test_cli_deleted_options_are_rejected(inst_file, prof_file, tmp_path, capsys, monkeypatch,
+                                          command, option):
+    monkeypatch.chdir(tmp_path)
     spec = write_json(tmp_path / "spec.json", {"base": BASE, "axis": "q", "grid": [0.0, 0.5]})
-    out_csv = tmp_path / "data.csv"
+    argv = {
+        "sweep": ["sweep", "--spec", spec, "--out", "data.csv"],
+        "simulate": ["simulate", "--instance", inst_file, "--profile", prof_file,
+                     "--horizon", "100"],
+    }[command]
+    before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--spec", spec, "--threads", "1", "--out", str(out_csv)])
+        cli.main([*argv, *option])
     assert exc.value.code == cli.EXIT_INVALID
-    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
-    assert not out_csv.exists()
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
 def test_cli_instance_number_beyond_the_float_range_is_invalid_input(tmp_path, capsys):
