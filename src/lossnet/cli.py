@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve-opt, check-ne, enumerate-ne, poa, dynamics, two-source,
-simulate, sweep.  Instances and profiles are read as JSON files in the
-interchange schemas; results are printed as JSON (CSV where noted).
+Subcommands: solve-opt, check-ne, enumerate-ne, poa, dynamics, two-source
+(--instance, then scan, classify, existence or corollaries), simulate, sweep,
+each taking only the options it reads.  Instances, profiles and sweep specs
+are JSON files in the interchange schemas; answers print as JSON (CSV where noted).
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration capacity exceeded,
 4 failed internal cross-check (always a bug, never swallowed).
@@ -83,15 +84,15 @@ def _solution_json(sol: optimizer.OptimalSolution) -> dict:
 
 
 def _cmd_solve_opt(args) -> int:
-    model.check_cap(args.oracle_cap)  # with or without --oracle, before any work
+    model.check_cap(args.oracle)  # before any work
     inst = _load_instance(args.instance)
     sol = optimizer.solve_optimal(inst)
     out = _solution_json(sol)
-    if args.oracle:
+    if args.oracle is not None:
         try:
-            ref = optimizer.brute_force_optimal(inst, cap=args.oracle_cap)
+            ref = optimizer.brute_force_optimal(inst, cap=args.oracle)
         except CapacityError:
-            out["oracle_tr"] = None  # profile space above --oracle-cap
+            out["oracle_tr"] = None  # profile space above CAP
         else:
             out["oracle_tr"] = ref.tr
             if abs(ref.tr - sol.tr) > _TR_MATCH_TOL * max(1.0, abs(ref.tr)):
@@ -175,8 +176,6 @@ def _cmd_two_source(args) -> int:
             }
         )
     elif args.action == "classify":
-        if args.u1 is None or args.u2 is None:
-            raise InvalidInputError("classify requires --u1 and --u2")
         verdict = two_source.classify(inst, two_source.TwoSourceState(args.u1, args.u2))
         _emit(
             {
@@ -198,13 +197,13 @@ def _cmd_simulate(args) -> int:
     inst = _load_instance(args.instance)
     prof = _load_profile(args.profile, inst)
     cfg = packet_sim.SimConfig(inst, prof, horizon=args.horizon, seed=args.seed)
-    if args.validate:
-        model._as_real(args.sigmas, "tolerance_sigmas", 0)  # before any simulation runs
+    if args.validate is not None:
+        model._as_real(args.validate, "tolerance_sigmas", 0)  # before any simulation runs
     outcome = packet_sim.simulate(cfg)
     out = packet_sim.outcome_to_json(outcome)
-    if args.validate:
+    if args.validate is not None:
         report = packet_sim.assess_outcome(
-            inst, prof, outcome, model.traffic_rates(inst, prof), args.sigmas
+            inst, prof, outcome, model.traffic_rates(inst, prof), args.validate
         )
         out["validation"] = {"passed": report.passed, **asdict(report)}
     _emit(out)
@@ -231,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-opt", help="maximize total delivered traffic")
     p.add_argument("--instance", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check against brute force")
-    p.add_argument("--oracle-cap", type=int, default=10_000_000)
+    p.add_argument("--oracle", nargs="?", type=int, const=10_000_000, metavar="CAP",
+                   help="cross-check against brute force over at most CAP profiles")
     p.set_defaults(func=_cmd_solve_opt)
 
     p = sub.add_parser("check-ne", help="equilibrium verdict for one profile")
@@ -261,20 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("two-source", help="closed-form two-source analysis")
     p.add_argument("--instance", required=True)
-    p.add_argument(
-        "action", choices=["scan", "classify", "existence", "corollaries"]
-    )
-    p.add_argument("--u1", type=int)
-    p.add_argument("--u2", type=int)
     p.set_defaults(func=_cmd_two_source)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("scan", "classify", "existence", "corollaries"):
+        actions.add_parser(action)
+    p = actions.choices["classify"]
+    p.add_argument("--u1", type=int, required=True)
+    p.add_argument("--u2", type=int, required=True)
 
     p = sub.add_parser("simulate", help="packet-level Monte Carlo run")
     p.add_argument("--instance", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--validate", action="store_true")
-    p.add_argument("--sigmas", type=float, default=3.0)
+    p.add_argument("--validate", nargs="?", type=float, const=3.0, metavar="SIGMAS",
+                   help="compare loss rates with the model within SIGMAS standard errors")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")

@@ -486,23 +486,28 @@ def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:
 # ---------------------------------------------------------------------------
 
 
-def _require(obj: dict, key: str) -> object:
+def _fields(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj, if it is a JSON object with every `required` field and no field outside
+    `required` and `optional`; else InvalidInputError naming the first missing or unknown one."""
     if not isinstance(obj, dict):
-        raise InvalidInputError(f"expected a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise InvalidInputError(f"missing field '{key}'")
-    return obj[key]
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in (*required, *obj):
+        if key not in obj:
+            raise InvalidInputError(f"missing field '{key}' in {what}")
+        if key not in required + optional:
+            raise InvalidInputError(f"unknown field '{key}' in {what}")
+    return obj
 
 
 def instance_from_json(obj: dict) -> Instance:
     """Parse and validate the instance schema, naming the first bad field."""
-    m = _as_int(_require(obj, "m"), "field 'm'", 1)
-    n = _require(obj, "n")
+    obj = _fields(obj, "instance", ("m", "n", "phi", "mu", "q"))
+    m, n = _as_int(obj["m"], "field 'm'", 1), obj["n"]
     if not isinstance(n, list) or len(n) != m:
         raise InvalidInputError(f"field 'n' must be a list of {m} integers")
     for i, ni in enumerate(n):
         _as_int(ni, f"field 'n[{i}]'", 1)
-    phi, mu, q = (_as_real(_require(obj, k), f"field '{k}'") for k in ("phi", "mu", "q"))
+    phi, mu, q = (_as_real(obj[k], f"field '{k}'") for k in ("phi", "mu", "q"))
     return Instance(tuple(n), phi, mu, q)
 
 
@@ -517,7 +522,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def profile_from_json(obj: dict) -> RoutingProfile:
-    flow = _require(obj, "flow")
+    flow = _fields(obj, "profile", ("flow",))["flow"]
     if not isinstance(flow, list) or not flow:
         raise InvalidInputError("field 'flow' must be a non-empty list of rows")
     for i, row in enumerate(flow):

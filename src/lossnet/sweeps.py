@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
-from .model import Instance, _as_int, _as_real, check_cap, instance_from_json
+from .model import Instance, _as_int, _as_real, _fields, check_cap, instance_from_json
 from .equilibrium import poa_bound, poa_report
 from .optimizer import check_gain_test, solve_optimal
 from .two_source import check_scan_size
@@ -38,8 +38,9 @@ class SweepSpec:
         if self.axis not in AXES:
             raise InvalidInputError(f"axis must be one of {AXES}, got {self.axis!r}")
         object.__setattr__(self, "grid", tuple(self.grid))
-        if not self.grid:
-            raise InvalidInputError("grid must be non-empty")
+        for name in ("grid", "outputs"):  # a sweep must ask for something
+            if not getattr(self, name):
+                raise InvalidInputError(f"{name} must be non-empty")
         seen = []
         for o in self.outputs:
             if o not in OUTPUTS:
@@ -68,20 +69,14 @@ def apply_axis(base: Instance, axis: str, value) -> Instance:
 
 
 def spec_from_json(obj: dict) -> SweepSpec:
-    if not isinstance(obj, dict):
-        raise InvalidInputError("sweep spec must be a JSON object")
-    for key in ("base", "axis", "grid"):
-        if key not in obj:
-            raise InvalidInputError(f"missing field '{key}'")
+    obj = _fields(obj, "sweep spec", ("base", "axis", "grid"), ("outputs",))
     base = instance_from_json(obj["base"])
-    axis = obj["axis"]
-    grid = obj["grid"]
-    if not isinstance(grid, list):
+    if not isinstance(obj["grid"], list):
         raise InvalidInputError("field 'grid' must be a list")
     outputs = obj.get("outputs", list(OUTPUTS))
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise InvalidInputError("field 'outputs' must be a list of strings")
-    return SweepSpec(base=base, axis=axis, grid=tuple(grid), outputs=tuple(outputs))
+    return SweepSpec(base=base, axis=obj["axis"], grid=tuple(obj["grid"]), outputs=tuple(outputs))
 
 
 def _row(spec: SweepSpec, value, cap: int) -> dict:

@@ -3,7 +3,7 @@
 Each ```python block runs in a fresh directory, and every `print(...)` line
 whose comment promises a value must print it (a trailing "..." promises a
 prefix).  Each `lossnet` line of the command-line block must parse, with
-its optional brackets dropped and the placeholder N given a value.
+its optional brackets dropped and the placeholders N, CAP and SIGMAS given values.
 """
 
 import contextlib
@@ -46,7 +46,7 @@ def command_lines():
     for line in block.replace("\\\n", " ").splitlines():
         if line.startswith("lossnet "):
             words = shlex.split(line.replace("[", " ").replace("]", " "))
-            yield [("7" if w == "N" else w) for w in words[1:]]
+            yield [{"N": "7", "CAP": "7", "SIGMAS": "3"}.get(w, w) for w in words[1:]]
 
 
 @pytest.mark.parametrize("argv", list(command_lines()), ids=" ".join)

@@ -39,6 +39,8 @@ def test_spec_validation():
         SweepSpec(base=base, axis="n1", grid=(2.5,))
     with pytest.raises(InvalidInputError):
         SweepSpec(base=base, axis="q", grid=(0.5,), outputs=("bogus",))
+    with pytest.raises(InvalidInputError, match="outputs must be non-empty"):
+        SweepSpec(base=base, axis="q", grid=(0.5,), outputs=())
 
 
 def test_apply_axis():
@@ -376,7 +378,9 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     assert cli.main(["poa", "--instance", str(notjson)]) == cli.EXIT_INVALID
     good = write_json(tmp_path / "good.json", {"m": 2, "n": [3, 2], "phi": 1, "mu": 1, "q": 0})
     capsys.readouterr()
-    assert cli.main(["two-source", "--instance", good, "classify", "--u1", "1"]) == cli.EXIT_INVALID
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["two-source", "--instance", good, "classify", "--u1", "1"])
+    assert exc.value.code == cli.EXIT_INVALID
     assert "--u2" in capsys.readouterr().err
     taken = tmp_path / "taken"
     taken.mkdir()
@@ -437,7 +441,7 @@ def test_cli_profile_row_sum_mismatch(inst_file, tmp_path):
 
 
 def test_cli_solve_opt_oracle_skipped_over_cap(inst_file, capsys):
-    rc = cli.main(["solve-opt", "--instance", inst_file, "--oracle", "--oracle-cap", "3"])
+    rc = cli.main(["solve-opt", "--instance", inst_file, "--oracle", "3"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["oracle_tr"] is None
@@ -490,7 +494,7 @@ def test_horizon_overflowing_the_packet_count_is_invalid_input(inst_file, prof_f
 @pytest.mark.parametrize("sigmas", ["-1", "nan"])
 def test_cli_simulate_rejects_bad_sigmas(inst_file, prof_file, capsys, sigmas):
     rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
-                   "--horizon", "1000", "--validate", "--sigmas", sigmas])
+                   "--horizon", "1000", "--validate", sigmas])
     assert rc == cli.EXIT_INVALID
     assert "tolerance_sigmas" in capsys.readouterr().err
 
@@ -500,11 +504,11 @@ def test_cli_simulate_rejects_bad_sigmas_before_simulating(
     inst_file, prof_file, capsys, monkeypatch, sigmas
 ):
     def no_simulation(cfg):
-        raise AssertionError("simulate ran before --sigmas was checked")
+        raise AssertionError("simulate ran before SIGMAS was checked")
 
     monkeypatch.setattr(cli.packet_sim, "simulate", no_simulation)
     rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,
-                   "--horizon", "1e9", "--validate", "--sigmas", sigmas])
+                   "--horizon", "1e9", "--validate", sigmas])
     assert rc == cli.EXIT_INVALID
     assert "tolerance_sigmas" in capsys.readouterr().err
 
@@ -515,13 +519,13 @@ def test_cli_enumerate_ne_rejects_negative_cap(inst_file, capsys):
     assert "cap must be non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["no-oracle", "oracle"])
+@pytest.mark.parametrize("oracle", [["--oracle", "-1"]], ids=["oracle"])
 def test_cli_solve_opt_rejects_negative_oracle_cap(inst_file, capsys, monkeypatch, oracle):
     def no_work(*args, **kwargs):
-        raise AssertionError("solve_optimal ran before --oracle-cap was checked")
+        raise AssertionError("solve_optimal ran before CAP was checked")
 
     monkeypatch.setattr(cli.optimizer, "solve_optimal", no_work)
-    rc = cli.main(["solve-opt", "--instance", inst_file, *oracle, "--oracle-cap", "-1"])
+    rc = cli.main(["solve-opt", "--instance", inst_file, *oracle])
     assert rc == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert "cap must be non-negative" in captured.err and captured.out == ""
@@ -613,8 +617,12 @@ BASE = {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 1.0, "q": 0.5}
 @pytest.mark.parametrize(
     "command, option",
     [("sweep", ["--threads", "1"]), ("sweep", ["--plot-data", "plots"]),
-     ("simulate", ["--out-csv", "links.csv"])],
-    ids=["sweep-threads", "sweep-plot-data", "simulate-out-csv"],
+     ("simulate", ["--out-csv", "links.csv"]), ("solve-opt", ["--oracle-cap", "3"]),
+     ("simulate", ["--sigmas", "3"]), ("scan", ["--u1", "1"]), ("existence", ["--u2", "1"]),
+     ("corollaries", ["--u1", "1"])],
+    ids=["sweep-threads", "sweep-plot-data", "simulate-out-csv", "solve-opt-oracle-cap",
+         "simulate-sigmas", "two-source-scan-u1", "two-source-existence-u2",
+         "two-source-corollaries-u1"],
 )
 def test_cli_deleted_options_are_rejected(inst_file, prof_file, tmp_path, capsys, monkeypatch,
                                           command, option):
@@ -624,6 +632,9 @@ def test_cli_deleted_options_are_rejected(inst_file, prof_file, tmp_path, capsys
         "sweep": ["sweep", "--spec", spec, "--out", "data.csv"],
         "simulate": ["simulate", "--instance", inst_file, "--profile", prof_file,
                      "--horizon", "100"],
+        "solve-opt": ["solve-opt", "--instance", inst_file],
+        **{action: ["two-source", "--instance", inst_file, action]
+           for action in ("scan", "existence", "corollaries")},
     }[command]
     before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
@@ -632,6 +643,34 @@ def test_cli_deleted_options_are_rejected(inst_file, prof_file, tmp_path, capsys
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {' '.join(option)}" in captured.err and captured.out == ""
     assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize("where, field", [("instance", "colour"), ("profile", "colour"),
+                                          ("spec", "output"), ("spec-base", "colour")])
+def test_cli_unknown_json_field_is_invalid_input(inst_file, prof_file, tmp_path, capsys,
+                                                 monkeypatch, where, field):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the unknown field was rejected")
+
+    for owner, name in ((cli.equilibrium, "poa_report"),
+                        (cli.equilibrium, "is_nash_characterization"), (cli.sweeps, "run_sweep")):
+        monkeypatch.setattr(owner, name, no_work)
+    spec = {"base": BASE, "axis": "q", "grid": [0.5]}
+    out_csv = tmp_path / "data.csv"
+    argv = {
+        "instance": ["poa", "--instance", write_json(tmp_path / "i.json", {**BASE, field: 1})],
+        "profile": ["check-ne", "--instance", inst_file, "--profile",
+                    write_json(tmp_path / "p.json", {"flow": [[3, 0], [0, 2]], field: 1})],
+        "spec": ["sweep", "--spec", write_json(tmp_path / "s.json", {**spec, field: ["tr_opt"]}),
+                 "--out", str(out_csv)],
+        "spec-base": ["sweep", "--spec", write_json(tmp_path / "s.json",
+                                                    {**spec, "base": {**BASE, field: 1}}),
+                      "--out", str(out_csv)],
+    }[where]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert f"unknown field '{field}'" in captured.err and captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_cli_instance_number_beyond_the_float_range_is_invalid_input(tmp_path, capsys):

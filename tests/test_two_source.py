@@ -330,7 +330,8 @@ def _cli_in_a_small_address_space(tmp_path, argv):
     def limit():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    return subprocess.run([sys.executable, "-m", "lossnet.cli", *argv, "--instance", str(inst)],
+    return subprocess.run([sys.executable, "-m", "lossnet.cli", argv[0], "--instance", str(inst),
+                           *argv[1:]],
                           env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
 
 
@@ -353,7 +354,7 @@ def test_cli_scan_beyond_its_size_limit_exits_2(tmp_path, capsys, monkeypatch, a
     monkeypatch.setattr(ln.equilibrium, "solve_optimal", no_work)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"m": 2, "n": list(counts), "phi": 1.0, "mu": 10.0, "q": 0.3}))
-    assert cli.main([*argv, "--instance", str(path)]) == cli.EXIT_INVALID
+    assert cli.main([argv[0], "--instance", str(path), *argv[1:]]) == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and "2**50" in captured.err
     # One user fewer is scanned.
