@@ -12,14 +12,15 @@ Time is cut into fixed windows of about `WINDOW` expected packets, and the
 window draws counts, not streams.  Each class draws one Poisson count for the
 window, and a relayed class one binomial(count, 1 - q) count of sidelink
 survivors: an independently thinned Poisson stream is again Poisson.  Given
-its count, a Poisson stream on [t0, t1) puts its points i.i.d. uniform there,
-so each link draws its arrival times as sorted uniforms on [t0, t1).
+its count n, a Poisson stream on [t0, t1) puts its points i.i.d. uniform
+there, so each link draws their n + 1 spacings (the last up to t1) as
+(t1 - t0) E_k / (E_0 + ... + E_n), E_k i.i.d. exponential(1) (Devroye 1986).
 
 No link is walked.  Just after any arrival is handled the link is busy, and
 by memorylessness the service in progress has a fresh exponential(mu)
 residual, independent of the past; so arrival k is accepted exactly when a
 residual drawn for it is at most the gap since arrival k - 1, independently
-given the times.  Each link carries its last arrival time across window
+given the gaps.  Each link carries its last arrival time across window
 edges and starts stationary: its Poisson stream of rate T_j had its last
 arrival before time 0 an exponential(T_j) gap back (-inf if T_j = 0), so
 every packet on [0, horizon) is counted, unbiased at any horizon.  The class
@@ -29,7 +30,7 @@ hypergeometric over the counts that reached the link.  Memory is O(WINDOW)
 at any horizon.
 
 Randomness is split into one independent child stream per class (counts and
-sidelink trials) and per link (its start, times, residuals and the class
+sidelink trials) and per link (its start, spacings, residuals and the class
 split), all spawned deterministically from the master seed, so outcomes are
 bit-for-bit reproducible and independent runs can execute concurrently.
 """
@@ -88,15 +89,18 @@ class SimOutcome:
     empirical_tr: float
 
 
-def _accepted(rng: np.random.Generator, times: np.ndarray, last: float, mu: float) -> np.ndarray:
-    """Which of one link's sorted arrivals find it idle, given its last arrival `last` before them.
+def _accepted(rng, n: int, t0: float, t1: float, last: float, mu: float) -> tuple[int, float]:
+    """How many of one link's n arrivals on [t0, t1) find it idle, and its new last arrival.
 
-    The link is busy just after each arrival, with a fresh exponential(mu)
-    residual service, so arrival k is accepted when the residual drawn for
-    it is at most times[k] - times[k - 1].  `last` is -inf on a link that
-    has never had an arrival.
+    Gaps are n of the n + 1 spacings of [t0, t1), the first plus t0 - last (-inf at
+    first); an arrival is accepted if a fresh exponential(mu) residual is at most its gap.
     """
-    return rng.exponential(1.0 / mu, times.shape[0]) <= np.diff(times, prepend=last)
+    if n == 0:
+        return 0, last
+    e = rng.standard_exponential(n + 1)
+    e *= (t1 - t0) / e.sum()
+    e[0] += t0 - last
+    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= e[:n])), t1 - float(e[n])
 
 
 def simulate(cfg: SimConfig) -> SimOutcome:
@@ -126,11 +130,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
         reached += reach
         for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
             feeds = reach[ks]
-            times = rng.uniform(t0, t1, int(feeds.sum()))
-            times.sort()
-            n_acc = int(np.count_nonzero(_accepted(rng, times, last[j], mu)))
-            if times.shape[0]:
-                last[j] = float(times[-1])
+            n_acc, last[j] = _accepted(rng, int(feeds.sum()), t0, t1, last[j], mu)
             delivered[ks] += rng.multivariate_hypergeometric(feeds, n_acc)
 
     per_link: dict[int, LinkCounts] = {}

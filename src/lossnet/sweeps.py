@@ -70,7 +70,10 @@ def apply_axis(base: Instance, axis: str, value) -> Instance:
 
 def spec_from_json(obj: dict) -> SweepSpec:
     obj = _fields(obj, "sweep spec", ("base", "axis", "grid"), ("outputs",))
-    base = instance_from_json(obj["base"])
+    try:
+        base = instance_from_json(obj["base"])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"sweep spec field 'base': {exc}") from None
     if not isinstance(obj["grid"], list):
         raise InvalidInputError("field 'grid' must be a list")
     outputs = obj.get("outputs", list(OUTPUTS))

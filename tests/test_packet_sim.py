@@ -25,6 +25,35 @@ def test_seed_determinism_bit_for_bit():
     assert c != a
 
 
+FROZEN_SIMULATE_SEED_7 = {
+    "per_class": [
+        {"origin": 0, "relay": 0, "generated": 40170, "sidelink_lost": 0,
+         "congestion_lost": 26815, "delivered": 13355},
+        {"origin": 0, "relay": 1, "generated": 19837, "sidelink_lost": 5929,
+         "congestion_lost": 10131, "delivered": 3777},
+        {"origin": 1, "relay": 1, "generated": 40112, "sidelink_lost": 0,
+         "congestion_lost": 29369, "delivered": 10743},
+    ],
+    "per_link": [
+        {"link": 0, "offered": 40170, "blocked": 26815,
+         "empirical_block_prob": 0.6675379636544685, "std_err": 0.0023504883296804526},
+        {"link": 1, "offered": 54020, "blocked": 39500,
+         "empirical_block_prob": 0.731210662717512, "std_err": 0.0019074360491202107},
+    ],
+    "empirical_tr": 1.39375,
+}
+
+
+def test_simulate_output_is_frozen():
+    # Any change to the simulator's RNG stream (the draws, their order, or
+    # numpy's own Generator algorithms) changes these counts, and must come
+    # with a deliberate refreeze of this table.
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
+    prof = ln.RoutingProfile(((2, 1), (0, 2)))
+    out = ln.simulate(ln.SimConfig(inst, prof, 20_000.0, 7))
+    assert packet_sim.outcome_to_json(out) == FROZEN_SIMULATE_SEED_7
+
+
 def test_packet_conservation_every_class():
     out = ln.simulate(small_cfg(seed=5))
     for key, c in out.per_class.items():
@@ -190,34 +219,66 @@ def _scalar_accepted(times, services):
     return accepted, busy_until
 
 
-def _blocking_and_pairs(blocked):
-    """Blocked fraction and lag-1 frequency of (blocked, blocked) pairs."""
-    return blocked.mean(), (blocked[1:] & blocked[:-1]).mean()
-
-
 @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
 def test_residual_rule_matches_scalar_reference(mu):
-    # Poisson arrivals of rate T = 1 on one link.  The residual rule and the
-    # busy/idle loop, each with its own services, run on the same times; by
-    # PASTA both block a fraction T / (T + mu), and as the blocked indicators
-    # are i.i.d. under Poisson arrivals, the pairs a fraction (T / (T + mu))^2.
-    seeds, n = 40, 10_000
+    # n arrivals at rate T = 1 on [t0, t1), after a last arrival at `last`.
+    # The busy/idle loop runs on sorted uniform times, led by `last` as an
+    # accepted arrival, each with its own service; the spacing rule draws its
+    # own gaps.  By PASTA both block a fraction T / (T + mu) of the n arrivals.
+    seeds, n, t0, last = 40, 10_000, 5.0, 4.0
+    t1 = t0 + n
     p = 1.0 / (1.0 + mu)
     fast, ref = [], []
     for seed in range(seeds):
         rng = np.random.default_rng([seed, int(mu * 10)])
-        times = np.cumsum(rng.exponential(1.0, size=n))
-        fast.append(_blocking_and_pairs(~_accepted(rng, times, -math.inf, mu)))
-        blocked = np.ones(n, dtype=bool)
-        blocked[_scalar_accepted(times, rng.exponential(1.0 / mu, size=n))[0]] = False
-        ref.append(_blocking_and_pairs(blocked))
+        fast.append(1.0 - _accepted(rng, n, t0, t1, last, mu)[0] / n)
+        times = np.concatenate(([last], np.sort(rng.uniform(t0, t1, n))))
+        accepted = _scalar_accepted(times, rng.exponential(1.0 / mu, size=n + 1))[0]
+        ref.append(1.0 - (len(accepted) - 1) / n)
     fast, ref = np.array(fast), np.array(ref)
-    for col, expected in ((0, p), (1, p * p)):
-        diff = fast[:, col] - ref[:, col]
-        assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(seeds), (col, diff.mean())
-        for got in (fast[:, col], ref[:, col]):
-            se = got.std(ddof=1) / math.sqrt(seeds)
-            assert abs(got.mean() - expected) <= 4.0 * se, (col, got.mean(), expected)
+    diff = fast - ref
+    assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(seeds), diff.mean()
+    for got in (fast, ref):
+        se = got.std(ddof=1) / math.sqrt(seeds)
+        assert abs(got.mean() - p) <= 4.0 * se, (got.mean(), p)
+
+
+def _sorted_uniform_accepted(rng, n, t0, t1, last, mu):
+    """The residual rule on explicit times: n sorted uniforms on [t0, t1)."""
+    times = np.sort(rng.uniform(t0, t1, n))
+    gaps = np.diff(times, prepend=last)
+    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= gaps)), float(times[-1])
+
+
+def _spacing_draw(rng, n, t0, t1, last, mu, terms, carry):
+    """`_accepted`'s draw, normalised by the first `terms` spacings, with or without the carry."""
+    e = rng.standard_exponential(n + 1)
+    e *= (t1 - t0) / e[:terms].sum()
+    if carry:
+        e[0] += t0 - last
+    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= e[:n])), t1 - float(e[n])
+
+
+def test_spacing_draw_has_the_law_of_sorted_uniforms():
+    # The accepted count and the new last arrival of one window, 20,000 draws
+    # a side, against sorted uniform times (two-sample KS, level 1e-3).  Two
+    # mutations of the draw must fail: normalising by n spacings, not n + 1,
+    # and dropping the gap t0 - last from the first arrival.
+    n, t0, t1, last, mu, draws = 4, 10.0, 15.0, 9.0, 1.0, 20_000
+    rng = np.random.default_rng(0)
+    ref = np.array([_sorted_uniform_accepted(rng, n, t0, t1, last, mu) for _ in range(draws)])
+
+    def p_values(draw):
+        rng = np.random.default_rng(1)
+        got = np.array([draw(rng, n, t0, t1, last, mu) for _ in range(draws)])
+        return [stats.ks_2samp(got[:, k], ref[:, k]).pvalue for k in (0, 1)]
+
+    for seed in range(20):  # the controls below mutate exactly the draw of `_accepted`
+        assert (_spacing_draw(np.random.default_rng(seed), n, t0, t1, last, mu, n + 1, True)
+                == _accepted(np.random.default_rng(seed), n, t0, t1, last, mu))
+    assert min(p_values(_accepted)) > 1e-3
+    assert min(p_values(lambda *a: _spacing_draw(*a, terms=n, carry=True))) < 1e-3
+    assert min(p_values(lambda *a: _spacing_draw(*a, terms=n + 1, carry=False))) < 1e-3
 
 
 def test_residual_rule_carries_the_last_arrival(monkeypatch):
@@ -226,9 +287,10 @@ def test_residual_rule_carries_the_last_arrival(monkeypatch):
     monkeypatch.setattr(packet_sim, "WINDOW", 1)
     calls = []
 
-    def recording(rng, times, last, mu):
-        calls.append((times.copy(), last))
-        return _accepted(rng, times, last, mu)
+    def recording(rng, n, t0, t1, last, mu):
+        n_acc, out = _accepted(rng, n, t0, t1, last, mu)
+        calls.append((n, t0, t1, last, out))
+        return n_acc, out
 
     monkeypatch.setattr(packet_sim, "_accepted", recording)
     inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
@@ -236,14 +298,16 @@ def test_residual_rule_carries_the_last_arrival(monkeypatch):
     ln.simulate(ln.SimConfig(inst, prof, 200.0, 0))
     empty = 0
     for j in range(inst.m):  # both links are fed, so each window calls link 0, then link 1
-        carried = calls[j][1]  # the stationary start: the last arrival before time 0
+        carried = calls[j][3]  # the stationary start: the last arrival before time 0
         assert -math.inf < carried < 0.0
-        for times, last in calls[j::inst.m]:
+        for n, t0, t1, last, out in calls[j::inst.m]:
             assert last == carried
-            if times.shape[0]:
-                carried = float(times[-1])
+            if n:
+                assert t0 <= out < t1
             else:
+                assert out == last
                 empty += last > -math.inf
+            carried = out
     assert empty > 20
 
 

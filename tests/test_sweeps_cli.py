@@ -645,10 +645,15 @@ def test_cli_deleted_options_are_rejected(inst_file, prof_file, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
-@pytest.mark.parametrize("where, field", [("instance", "colour"), ("profile", "colour"),
-                                          ("spec", "output"), ("spec-base", "colour")])
+@pytest.mark.parametrize("where, extra, message", [
+    ("instance", {"colour": 1}, "unknown field 'colour' in instance"),
+    ("profile", {"colour": 1}, "unknown field 'colour' in profile"),
+    ("spec", {"output": ["tr_opt"]}, "unknown field 'output' in sweep spec"),
+    ("spec-base", {"colour": 1}, "sweep spec field 'base': unknown field 'colour' in instance"),
+    ("spec-base", {"q": "0.3"}, "sweep spec field 'base': field 'q' must be a real number"),
+], ids=["instance-colour", "profile-colour", "spec-output", "spec-base-colour", "spec-base-q"])
 def test_cli_unknown_json_field_is_invalid_input(inst_file, prof_file, tmp_path, capsys,
-                                                 monkeypatch, where, field):
+                                                 monkeypatch, where, extra, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the unknown field was rejected")
 
@@ -658,18 +663,18 @@ def test_cli_unknown_json_field_is_invalid_input(inst_file, prof_file, tmp_path,
     spec = {"base": BASE, "axis": "q", "grid": [0.5]}
     out_csv = tmp_path / "data.csv"
     argv = {
-        "instance": ["poa", "--instance", write_json(tmp_path / "i.json", {**BASE, field: 1})],
+        "instance": ["poa", "--instance", write_json(tmp_path / "i.json", {**BASE, **extra})],
         "profile": ["check-ne", "--instance", inst_file, "--profile",
-                    write_json(tmp_path / "p.json", {"flow": [[3, 0], [0, 2]], field: 1})],
-        "spec": ["sweep", "--spec", write_json(tmp_path / "s.json", {**spec, field: ["tr_opt"]}),
+                    write_json(tmp_path / "p.json", {"flow": [[3, 0], [0, 2]], **extra})],
+        "spec": ["sweep", "--spec", write_json(tmp_path / "s.json", {**spec, **extra}),
                  "--out", str(out_csv)],
-        "spec-base": ["sweep", "--spec", write_json(tmp_path / "s.json",
-                                                    {**spec, "base": {**BASE, field: 1}}),
+        "spec-base": ["sweep", "--spec", write_json(tmp_path / "b.json",
+                                                    {**spec, "base": {**BASE, **extra}}),
                       "--out", str(out_csv)],
     }[where]
     assert cli.main(argv) == cli.EXIT_INVALID
     captured = capsys.readouterr()
-    assert f"unknown field '{field}'" in captured.err and captured.out == ""
+    assert message in captured.err and captured.out == ""
     assert not out_csv.exists()
 
 
