@@ -245,21 +245,11 @@ def link_rates(inst: Instance, flow) -> list:
     return [link_rate(inst, flow, j) for j in range(len(flow))]
 
 
-def sum_left(terms) -> float:
-    """The terms added left to right from 0.0.
-
-    Not `sum`, which compensates floats from Python 3.12 on, nor `np.sum`, which pairs terms.
-    """
-    total = 0.0
-    for t in terms:
-        total = total + t
-    return total
-
-
 def delivered(inst: Instance, rates) -> float:
     """Delivered rate sum_j T_j * mu / (T_j + mu), added left to right on floats or arrays.
 
-    The loop of `sum_left`, written out: a generator would double a scalar call's time.
+    Not `sum`, which compensates floats from Python 3.12 on, nor `np.sum`, which pairs
+    terms; a generator would double a scalar call's time.
     """
     mu, total = inst.mu, 0.0
     for t in rates:

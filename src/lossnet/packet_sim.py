@@ -8,31 +8,27 @@ link r is delivered only if the link is idle, in which case the link stays
 busy for an exponential(mu) transmission time; a packet finding the link busy
 is dropped immediately (no buffer, no retry).
 
-Time is cut into fixed windows of about `WINDOW` expected packets, and the
-window draws counts, not streams.  Each class draws one Poisson count for the
-window, and a relayed class one binomial(count, 1 - q) count of sidelink
-survivors: an independently thinned Poisson stream is again Poisson.  Given
-its count n, a Poisson stream on [t0, t1) puts its points i.i.d. uniform
-there, so each link draws their n + 1 spacings (the last up to t1) as
-(t1 - t0) E_k / (E_0 + ... + E_n), E_k i.i.d. exponential(1) (Devroye 1986).
+No arrival is drawn one by one.  The packets reaching link j form a Poisson
+stream of rate T_j, so the link alternates idle periods, exponential(T_j),
+with busy ones: the arrival that ends an idle period is accepted, and its
+exponential(mu) service is the busy period, in which every arrival is
+blocked (the Erlang loss mechanism; Kelly 1979).  A link thus draws two
+numbers per accepted packet and none per blocked one.  It starts
+stationary, busy with probability T_j / (T_j + mu) for an exponential(mu)
+residual, so even a short run is unbiased.  Its accepted count is the busy
+periods started in [0, horizon), its blocked count Poisson(T_j * busy time
+in [0, horizon)).  Cycles come in chunks of at most `WINDOW` // 2, one
+alive at a time, so memory is O(WINDOW) at any horizon.
 
-No link is walked.  Just after any arrival is handled the link is busy, and
-by memorylessness the service in progress has a fresh exponential(mu)
-residual, independent of the past; so arrival k is accepted exactly when a
-residual drawn for it is at most the gap since arrival k - 1, independently
-given the gaps.  Each link carries its last arrival time across window
-edges and starts stationary: its Poisson stream of rate T_j had its last
-arrival before time 0 an exponential(T_j) gap back (-inf if T_j = 0), so
-every packet on [0, horizon) is counted, unbiased at any horizon.  The class
-labels of a link's arrivals do not depend on acceptance, so the delivered
-count of each class, given the link's accepted total, is multivariate
-hypergeometric over the counts that reached the link.  Memory is O(WINDOW)
-at any horizon.
+Class labels are i.i.d., in proportion to each class's rate at the link,
+and independent of the times, so each class's delivered and congestion-lost
+counts are multinomial splits of the link's totals; a relayed class's
+sidelink losses, its thinned-out stream, are Poisson(c * phi * q * horizon).
 
-Randomness is split into one independent child stream per class (counts and
-sidelink trials) and per link (its start, spacings, residuals and the class
-split), all spawned deterministically from the master seed, so outcomes are
-bit-for-bit reproducible and independent runs can execute concurrently.
+Randomness is one child stream per link (its start, cycles, counts and
+splits, and the sidelink losses of the classes it relays), spawned
+deterministically from the master seed, so outcomes are bit-for-bit
+reproducible and independent runs can execute concurrently.
 """
 
 from __future__ import annotations
@@ -44,9 +40,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import (Instance, RoutingProfile, _as_int, _as_real, class_loss, link_rates,
-                    sum_left, traffic_rates)
+                    traffic_rates)
 
-#: Expected packets per arrival window, over all classes.
+#: A chunk draws at most WINDOW // 2 busy/idle cycles, two float64s each.
 WINDOW = 1 << 16
 
 
@@ -66,7 +62,7 @@ class SimConfig:
         _as_int(self.seed, "seed", 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassCounts:
     generated: int
     sidelink_lost: int
@@ -74,7 +70,7 @@ class ClassCounts:
     delivered: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkCounts:
     offered: int
     blocked: int
@@ -82,73 +78,87 @@ class LinkCounts:
     std_err: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimOutcome:
     per_class: dict[tuple[int, int], ClassCounts] = field(repr=False)
     per_link: dict[int, LinkCounts] = field(repr=False)
     empirical_tr: float
 
 
-def _accepted(rng, n: int, t0: float, t1: float, last: float, mu: float) -> tuple[int, float]:
-    """How many of one link's n arrivals on [t0, t1) find it idle, and its new last arrival.
+def _cycles(rng, t: float, mu: float, horizon: float) -> tuple[int, float]:
+    """Accepted arrivals and busy time on [0, horizon) of one stationary link offered t > 0.
 
-    Gaps are n of the n + 1 spacings of [t0, t1), the first plus t0 - last (-inf at
-    first); an arrival is accepted if a fresh exponential(mu) residual is at most its gap.
+    A chunk of cycles that ends before the horizon counts only through its two sums.
     """
-    if n == 0:
-        return 0, last
-    e = rng.standard_exponential(n + 1)
-    e *= (t1 - t0) / e.sum()
-    e[0] += t0 - last
-    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= e[:n])), t1 - float(e[n])
+    now = busy = 0.0
+    mean_idle, mean_serve = 1.0 / t, 1.0 / mu  # inf at a subnormal t: scale by products
+    if rng.random() * (t + mu) < t:  # busy at time 0, with a memoryless residual service
+        now = rng.exponential(mean_serve)
+        busy = min(now, horizon)
+    accepted, buf = 0, None
+    while now < horizon:
+        # The cycles expected before the horizon, plus 4 sd of their count (below sqrt(left)).
+        left = (horizon - now) / (mean_idle + mean_serve)
+        n = int(min(max(1, WINDOW // 2), left + 4.0 * math.sqrt(left) + 1.0))
+        if buf is None:  # n only shrinks as `now` grows
+            buf = np.empty((2, n))
+        idle, serve = buf[0, :n], buf[1, :n]
+        rng.standard_exponential(out=idle)
+        rng.standard_exponential(out=serve)
+        served = float(serve.sum()) * mean_serve
+        end = now + float(idle.sum()) * mean_idle + served
+        if end < horizon:
+            accepted, busy, now = accepted + n, busy + served, end
+            continue
+        idle *= mean_idle
+        serve *= mean_serve
+        idle += serve
+        np.cumsum(idle, out=idle)
+        idle -= serve  # each arrival's time after `now`
+        k = int(np.searchsorted(idle, horizon - now))
+        if k:
+            end = now + float(idle[k - 1] + serve[k - 1])
+            busy += float(serve[:k].sum()) - max(0.0, end - horizon)
+        accepted, now = accepted + k, end if k == n else math.inf
+    return accepted, busy
 
 
 def simulate(cfg: SimConfig) -> SimOutcome:
     """Deterministic (per seed) packet-level run of one routing profile."""
-    inst, prof = cfg.instance, cfg.profile
-    m, mu, q = inst.m, inst.mu, inst.q
+    inst, prof, horizon = cfg.instance, cfg.profile, cfg.horizon
+    m, mu, phi, q = inst.m, inst.mu, inst.phi, inst.q
 
     classes = [(i, r) for i in range(m) for r in range(m) if prof.flow[i][r] >= 1]
-    nc = len(classes)
-    on_link = [np.array([k for k, (_, r) in enumerate(classes) if r == j], dtype=np.intp)
-               for j in range(m)]
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(nc + m)]
-    class_rngs, link_rngs = rngs[:nc], rngs[nc:]
-
-    rates = [prof.flow[i][r] * inst.phi for i, r in classes]
-    # Each link's last arrival before time 0, in the stationary process.
-    last = [-rng.exponential(1.0 / t) if t > 0 else -math.inf
-            for rng, t in zip(link_rngs, link_rates(inst, prof.flow))]
-    generated, reach, reached, delivered = (np.zeros(nc, dtype=np.int64) for _ in range(4))
-    windows = math.ceil(cfg.horizon * sum_left(rates) / WINDOW)
-    for w in range(windows):
-        t0, t1 = cfg.horizon * w / windows, cfg.horizon * (w + 1) / windows
-        for k, (i, r) in enumerate(classes):
-            n = class_rngs[k].poisson(rates[k] * (t1 - t0))
-            generated[k] += n
-            reach[k] = n if r == i else class_rngs[k].binomial(n, 1.0 - q)
-        reached += reach
-        for j, (ks, rng) in enumerate(zip(on_link, link_rngs)):
-            feeds = reach[ks]
-            n_acc, last[j] = _accepted(rng, int(feeds.sum()), t0, t1, last[j], mu)
-            delivered[ks] += rng.multivariate_hypergeometric(feeds, n_acc)
-
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(m)]
+    sidelink, lost, delivered = (np.zeros(len(classes), dtype=np.int64) for _ in range(3))
     per_link: dict[int, LinkCounts] = {}
-    for j, ks in enumerate(on_link):
-        n_off = int(reached[ks].sum())
-        n_blk = n_off - int(delivered[ks].sum())
+    for j, (rng, t) in enumerate(zip(rngs, link_rates(inst, prof.flow))):
+        fed = [(k, i, prof.flow[i][j]) for k, (i, r) in enumerate(classes) if r == j]
+        for k, i, c in fed:
+            if i != j:
+                sidelink[k] = rng.poisson(c * phi * q * horizon)
+        n_acc = n_blk = 0
+        if t > 0:  # at q = 1 a link fed only by relays has rate 0 and draws nothing
+            ks = [k for k, _, _ in fed]
+            share = np.array([c if i == j else c * inst.qbar for _, i, c in fed], dtype=float)
+            share /= share.sum()
+            n_acc, busy = _cycles(rng, t, mu, horizon)
+            n_blk = int(rng.poisson(t * busy))
+            delivered[ks] = rng.multinomial(n_acc, share)
+            lost[ks] = rng.multinomial(n_blk, share)
+        n_off = n_acc + n_blk
         p_hat = n_blk / n_off if n_off else 0.0
         se = math.sqrt(p_hat * (1.0 - p_hat) / n_off) if n_off else 0.0
         per_link[j] = LinkCounts(n_off, n_blk, p_hat, se)
     per_class = {
-        c: ClassCounts(int(generated[k]), int(generated[k] - reached[k]),
-                       int(reached[k] - delivered[k]), int(delivered[k]))
+        c: ClassCounts(int(sidelink[k] + lost[k] + delivered[k]), int(sidelink[k]),
+                       int(lost[k]), int(delivered[k]))
         for k, c in enumerate(classes)
     }
-    return SimOutcome(per_class, per_link, int(delivered.sum()) / cfg.horizon)
+    return SimOutcome(per_class, per_link, int(delivered.sum()) / horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     kind: str  # "link-blocking" | "class-loss"
     key: tuple
@@ -159,7 +169,7 @@ class Check:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     checks: tuple[Check, ...]
 

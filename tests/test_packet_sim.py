@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy import stats
 import lossnet as ln
 from lossnet.errors import InvalidInputError
 from lossnet import packet_sim
-from lossnet.packet_sim import _accepted, assess_outcome
+from lossnet.packet_sim import _cycles, assess_outcome
 
 
 def small_cfg(horizon=20_000.0, seed=0, q=0.3):
@@ -27,20 +29,20 @@ def test_seed_determinism_bit_for_bit():
 
 FROZEN_SIMULATE_SEED_7 = {
     "per_class": [
-        {"origin": 0, "relay": 0, "generated": 40170, "sidelink_lost": 0,
-         "congestion_lost": 26815, "delivered": 13355},
-        {"origin": 0, "relay": 1, "generated": 19837, "sidelink_lost": 5929,
-         "congestion_lost": 10131, "delivered": 3777},
-        {"origin": 1, "relay": 1, "generated": 40112, "sidelink_lost": 0,
-         "congestion_lost": 29369, "delivered": 10743},
+        {"origin": 0, "relay": 0, "generated": 39802, "sidelink_lost": 0,
+         "congestion_lost": 26570, "delivered": 13232},
+        {"origin": 0, "relay": 1, "generated": 20063, "sidelink_lost": 5996,
+         "congestion_lost": 10245, "delivered": 3822},
+        {"origin": 1, "relay": 1, "generated": 39829, "sidelink_lost": 0,
+         "congestion_lost": 28967, "delivered": 10862},
     ],
     "per_link": [
-        {"link": 0, "offered": 40170, "blocked": 26815,
-         "empirical_block_prob": 0.6675379636544685, "std_err": 0.0023504883296804526},
-        {"link": 1, "offered": 54020, "blocked": 39500,
-         "empirical_block_prob": 0.731210662717512, "std_err": 0.0019074360491202107},
+        {"link": 0, "offered": 39802, "blocked": 26570,
+         "empirical_block_prob": 0.6675543942515452, "std_err": 0.0023613000714459453},
+        {"link": 1, "offered": 53896, "blocked": 39212,
+         "empirical_block_prob": 0.7275493543120083, "std_err": 0.0019177716019708239},
     ],
-    "empirical_tr": 1.39375,
+    "empirical_tr": 1.3958,
 }
 
 
@@ -89,6 +91,13 @@ def test_unused_link_reports_zero_block_probability():
     report = ln.validate_analytics(ln.SimConfig(inst, prof, 2_000.0, 3))
     link0 = [c for c in report.checks if c.kind == "link-blocking" and c.key == (0,)]
     assert link0[0].passed
+
+
+def test_subnormal_rate_link_draws_no_arrival_and_no_warning():
+    # 1 / T overflows to inf, so the first idle period never ends; warnings are errors here.
+    inst = ln.Instance((1,), 1e-320, 1.0, 0.0)
+    out = ln.simulate(ln.SimConfig(inst, ln.RoutingProfile(((1,),)), 10.0, 0))
+    assert out.per_link[0].offered == 0 and out.empirical_tr == 0.0
 
 
 def test_empirical_total_traffic_tracks_closed_form():
@@ -219,96 +228,84 @@ def _scalar_accepted(times, services):
     return accepted, busy_until
 
 
-@pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
-def test_residual_rule_matches_scalar_reference(mu):
-    # n arrivals at rate T = 1 on [t0, t1), after a last arrival at `last`.
-    # The busy/idle loop runs on sorted uniform times, led by `last` as an
-    # accepted arrival, each with its own service; the spacing rule draws its
-    # own gaps.  By PASTA both block a fraction T / (T + mu) of the n arrivals.
-    seeds, n, t0, last = 40, 10_000, 5.0, 4.0
-    t1 = t0 + n
-    p = 1.0 / (1.0 + mu)
-    fast, ref = [], []
-    for seed in range(seeds):
-        rng = np.random.default_rng([seed, int(mu * 10)])
-        fast.append(1.0 - _accepted(rng, n, t0, t1, last, mu)[0] / n)
-        times = np.concatenate(([last], np.sort(rng.uniform(t0, t1, n))))
-        accepted = _scalar_accepted(times, rng.exponential(1.0 / mu, size=n + 1))[0]
-        ref.append(1.0 - (len(accepted) - 1) / n)
-    fast, ref = np.array(fast), np.array(ref)
-    diff = fast - ref
-    assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(seeds), diff.mean()
-    for got in (fast, ref):
-        se = got.std(ddof=1) / math.sqrt(seeds)
-        assert abs(got.mean() - p) <= 4.0 * se, (got.mean(), p)
+def _scalar_counts(rng, t, mu, horizon):
+    """(accepted, blocked) of `_scalar_accepted` on a Poisson(t) stream on [0, horizon).
+
+    The link starts stationary: busy with probability t / (t + mu), held by an
+    arrival at time 0 whose service is the residual, which is not counted.
+    """
+    busy = int(rng.random() < t / (t + mu))
+    times = np.sort(rng.uniform(0.0, horizon, rng.poisson(t * horizon)))
+    times = np.concatenate((np.zeros(busy), times))
+    accepted = len(_scalar_accepted(times, rng.exponential(1.0 / mu, len(times)))[0]) - busy
+    return accepted, len(times) - busy - accepted
 
 
-def _sorted_uniform_accepted(rng, n, t0, t1, last, mu):
-    """The residual rule on explicit times: n sorted uniforms on [t0, t1)."""
-    times = np.sort(rng.uniform(t0, t1, n))
-    gaps = np.diff(times, prepend=last)
-    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= gaps)), float(times[-1])
+def _cycle_counts(rng, t, mu, horizon):
+    """(accepted, blocked) of one link as `simulate` draws them."""
+    accepted, busy = _cycles(rng, t, mu, horizon)
+    return accepted, int(rng.poisson(t * busy))
 
 
-def _spacing_draw(rng, n, t0, t1, last, mu, terms, carry):
-    """`_accepted`'s draw, normalised by the first `terms` spacings, with or without the carry."""
-    e = rng.standard_exponential(n + 1)
-    e *= (t1 - t0) / e[:terms].sum()
-    if carry:
-        e[0] += t0 - last
-    return int(np.count_nonzero(rng.exponential(1.0 / mu, n) <= e[:n])), t1 - float(e[n])
+def _thinned_counts(rng, t, mu, horizon):
+    """Negative control: a Poisson count split binomially, so accepted and blocked are independent."""
+    n = rng.poisson(t * horizon)
+    accepted = int(rng.binomial(n, mu / (t + mu)))
+    return accepted, n - accepted
 
 
-def test_spacing_draw_has_the_law_of_sorted_uniforms():
-    # The accepted count and the new last arrival of one window, 20,000 draws
-    # a side, against sorted uniform times (two-sample KS, level 1e-3).  Two
-    # mutations of the draw must fail: normalising by n spacings, not n + 1,
-    # and dropping the gap t0 - last from the first arrival.
-    n, t0, t1, last, mu, draws = 4, 10.0, 15.0, 9.0, 1.0, 20_000
-    rng = np.random.default_rng(0)
-    ref = np.array([_sorted_uniform_accepted(rng, n, t0, t1, last, mu) for _ in range(draws)])
-
-    def p_values(draw):
-        rng = np.random.default_rng(1)
-        got = np.array([draw(rng, n, t0, t1, last, mu) for _ in range(draws)])
-        return [stats.ks_2samp(got[:, k], ref[:, k]).pvalue for k in (0, 1)]
-
-    for seed in range(20):  # the controls below mutate exactly the draw of `_accepted`
-        assert (_spacing_draw(np.random.default_rng(seed), n, t0, t1, last, mu, n + 1, True)
-                == _accepted(np.random.default_rng(seed), n, t0, t1, last, mu))
-    assert min(p_values(_accepted)) > 1e-3
-    assert min(p_values(lambda *a: _spacing_draw(*a, terms=n, carry=True))) < 1e-3
-    assert min(p_values(lambda *a: _spacing_draw(*a, terms=n + 1, carry=False))) < 1e-3
+CYCLE_SEEDS = 8_000
+# (T, mu, horizon): mostly blocked, mostly accepted, and a run shorter than
+# its start's residual service.
+CYCLE_CASES = [(2.0, 1.0, 20.0), (0.5, 2.0, 40.0), (3.0, 0.5, 2.0)]
 
 
-def test_residual_rule_carries_the_last_arrival(monkeypatch):
-    # One expected packet per window: most windows leave a link no arrival,
-    # and such a window must hand on the last arrival time it was given.
-    monkeypatch.setattr(packet_sim, "WINDOW", 1)
-    calls = []
+@functools.cache
+def _counts(draw, t, mu, horizon, window=None):
+    """CYCLE_SEEDS draws of (accepted, blocked); `window` only keys the cache."""
+    rng = np.random.default_rng([zlib.crc32(draw.__name__.encode()), int(100 * t), int(100 * mu)])
+    return np.array([draw(rng, t, mu, horizon) for _ in range(CYCLE_SEEDS)], dtype=float)
 
-    def recording(rng, n, t0, t1, last, mu):
-        n_acc, out = _accepted(rng, n, t0, t1, last, mu)
-        calls.append((n, t0, t1, last, out))
-        return n_acc, out
 
-    monkeypatch.setattr(packet_sim, "_accepted", recording)
-    inst = ln.Instance((3, 2), 1.0, 1.0, 0.3)
-    prof = ln.RoutingProfile(((2, 1), (0, 2)))
-    ln.simulate(ln.SimConfig(inst, prof, 200.0, 0))
-    empty = 0
-    for j in range(inst.m):  # both links are fed, so each window calls link 0, then link 1
-        carried = calls[j][3]  # the stationary start: the last arrival before time 0
-        assert -math.inf < carried < 0.0
-        for n, t0, t1, last, out in calls[j::inst.m]:
-            assert last == carried
-            if n:
-                assert t0 <= out < t1
-            else:
-                assert out == last
-                empty += last > -math.inf
-            carried = out
-    assert empty > 20
+def _disagreements(got, ref):
+    """Where two samples of (accepted, blocked) pairs differ beyond chance.
+
+    Two-sample KS on each count and on their sum (level 1e-3), and the
+    correlation of accepted and blocked within 4 standard errors of the
+    difference of two sample correlations.
+    """
+    bad = []
+    for name, f in [("accepted", lambda x: x[:, 0]), ("blocked", lambda x: x[:, 1]),
+                    ("offered", lambda x: x.sum(1))]:
+        p = stats.ks_2samp(f(got), f(ref), method="asymp").pvalue
+        if p < 1e-3:
+            bad.append((name, p))
+    r_got, r_ref = (np.corrcoef(x[:, 0], x[:, 1])[0, 1] for x in (got, ref))
+    se = (1.0 - r_ref**2) * math.sqrt(2.0 / CYCLE_SEEDS)
+    if abs(r_got - r_ref) > 4.0 * se:
+        bad.append(("correlation", r_got, r_ref))
+    return bad
+
+
+@pytest.mark.parametrize("window", [1, 8, packet_sim.WINDOW])
+@pytest.mark.parametrize("t, mu, horizon", CYCLE_CASES)
+def test_cycles_match_scalar_reference(monkeypatch, window, t, mu, horizon):
+    # 8,000 runs a side of one stationary link: the cycle sampler in chunks
+    # of one cycle, of four and of one chunk, against the arrival-by-arrival walk.
+    monkeypatch.setattr(packet_sim, "WINDOW", window)
+    ref = _counts(_scalar_counts, t, mu, horizon)
+    got = _counts(_cycle_counts, t, mu, horizon, window)
+    assert _disagreements(got, ref) == []
+
+
+def test_cycle_check_rejects_independent_thinning():
+    # Binomial thinning gets each count's mean right but makes accepted and
+    # blocked independent, where the walk correlates them (each acceptance
+    # starts a busy period that blocks); the check must see it.
+    ref = _counts(_scalar_counts, *CYCLE_CASES[0])
+    assert -0.25 < np.corrcoef(ref[:, 0], ref[:, 1])[0, 1] < -0.1
+    bad = _disagreements(_counts(_thinned_counts, *CYCLE_CASES[0]), ref)
+    assert "correlation" in [b[0] for b in bad], bad
 
 
 def test_class_split_does_not_depend_on_class():
