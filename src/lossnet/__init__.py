@@ -51,6 +51,7 @@ from .equilibrium import (
     poa_report,
 )
 from .two_source import (
+    NashIntervals,
     TwoSourceState,
     TwoSourceVerdict,
     check_corollaries,

@@ -232,24 +232,31 @@ class PoAReport:
 def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
     """Exact price of anarchy plus the analytic bound.
 
-    Two-source instances use the closed-form aggregate scan; otherwise the
-    equilibrium set is enumerated exhaustively (subject to `cap`).  An empty
-    equilibrium set is reported, not raised.  A negative `cap`, and two
-    sources beyond the scan's size limit, are rejected before any work, even
-    where no profile is enumerated.
+    Two-source instances read `scan_nash`'s intervals without building its
+    states: the count is their total width, and the worst equilibrium is the
+    least traffic over the corner, the column cells and the two ends of each
+    row's interval, evaluated once over arrays of counts.  Along a row, T1
+    and T2 are affine in u2 and delivered traffic is concave in each, so its
+    minimum over the interval sits at an end.  Otherwise the equilibrium set
+    is enumerated exhaustively (subject to `cap`).  An empty equilibrium set
+    is reported, not raised.  A negative `cap`, and two sources beyond the
+    scan's size limit, are rejected before any work, even where no profile
+    is enumerated.
     """
     check_cap(cap)
     check_scan_size(inst)
     tr_opt = solve_optimal(inst).tr
     if inst.m == 2:
         n1, n2 = inst.user_counts
-        trs = [
-            delivered(inst, link_rates(inst, ((s.u1, n1 - s.u1), (n2 - s.u2, s.u2))))
-            for s in scan_nash(inst)
-        ]
+        states = scan_nash(inst)
+        u1, u2 = states.ends()
+        trs = delivered(inst, link_rates(inst, ((u1, n1 - u1), (n2 - u2, u2))))
+        tr_worst = float(trs.min()) if trs.size else None
+        ne_count = len(states)
     else:
         trs = [summary.total_traffic for _, summary in enumerate_nash(inst, cap=cap)]
-    tr_worst = min(trs) if trs else None
+        tr_worst = min(trs) if trs else None
+        ne_count = len(trs)
     poa_exact = tr_opt / tr_worst if tr_worst else None
     return PoAReport(
         tr_opt=tr_opt,
@@ -257,5 +264,5 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
         poa_exact=poa_exact,
         z=mixing_level(inst),
         poa_bound=poa_bound(inst),
-        ne_count=len(trs),
+        ne_count=ne_count,
     )

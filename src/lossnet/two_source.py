@@ -25,8 +25,10 @@ state's flow, so `classify`, `scan_nash` and `construct_existence_ne` agree
 with the characterization by construction.  Because t1 and t2 are linear,
 region 2's equilibria in each row u1 form one interval of u2, so
 `scan_nash` never builds the (n1+1) x (n2+1) grid: it visits only the rows,
-and the few cells of the column u2 = n2, that the table leaves open, so its
-memory follows those rows and the equilibria, not the user counts.
+and the few cells of the column u2 = n2, that the table leaves open, and
+returns the equilibria as those intervals (`NashIntervals`).  Its memory is
+O(rows) for those rows, not for the user counts, until the set is iterated;
+then the states are built, once.
 
 Throughout, "source 1" means the source with the larger user count; instances
 given in the other order are relabeled internally and results are mapped back.
@@ -35,6 +37,7 @@ given in the other order are relabeled internally and results are mapped back.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,17 +188,82 @@ def _region2_rows(canon: Instance, a1: np.ndarray, extra: int) -> tuple[np.ndarr
     return lo, hi
 
 
-def scan_nash(inst: Instance) -> list[TwoSourceState]:
-    """All equilibrium states on the (u1, u2) grid, sorted by (u1, u2).
+class NashIntervals(Sequence):
+    """The equilibrium states of `scan_nash`, held as the intervals it found.
+
+    The set is the corner (0, 0), one interval [lo, hi] of u2 per interior
+    row u1 and some cells of the column u2 = n2, in the sorted instance.  It
+    is a sequence of `TwoSourceState`s sorted by (u1, u2) in the given
+    instance's indexing.  `len` and `ends` read the intervals; iterating,
+    indexing, `==` against a list and `repr` build that list once, on first
+    use, and then behave as it does.
+    """
+
+    def __init__(self, canon: Instance, perm, corner, rows, lo, hi, column) -> None:
+        self._canon, self._perm = canon, perm
+        self._corner, self._rows, self._lo, self._hi, self._column = corner, rows, lo, hi, column
+        self._list: list[TwoSourceState] | None = None
+
+    def __len__(self) -> int:
+        width = np.maximum(self._hi - self._lo + 1, 0)
+        return self._corner.size + int(width.sum()) + self._column.size
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u1, u2) int64 arrays in the given instance's indexing: the corner,
+        both ends of each non-empty interval, then the column cells."""
+        keep = self._lo <= self._hi
+        rows = self._rows[keep]
+        n2 = self._canon.user_counts[1]
+        a = (np.concatenate((self._corner, rows, rows, self._column)),
+             np.concatenate((self._corner, self._lo[keep], self._hi[keep],
+                             np.full(self._column.size, n2, dtype=np.int64))))
+        return a[self._perm[0]], a[self._perm[1]]
+
+    def _states(self) -> list[TwoSourceState]:
+        if self._list is None:
+            n2, perm = self._canon.user_counts[1], self._perm
+            corner, rows, lo, column = self._corner, self._rows, self._lo, self._column
+            width = np.maximum(self._hi - lo + 1, 0)
+            # Corner, intervals row by row, then the column: a stable sort on the
+            # instance's first coordinate leaves ties in ascending order of the other.
+            a1 = np.concatenate((corner, np.repeat(rows, width), column))
+            a2 = np.concatenate((
+                corner,
+                np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
+                np.full(column.size, n2),
+            ))
+            states = np.stack((a1, a2), axis=1)[:, list(perm)]
+            states = states[np.argsort(states[:, 0], kind="stable")].tolist()
+            self._list = [TwoSourceState(a, b) for a, b in states]
+        return self._list
+
+    def __getitem__(self, i):
+        return self._states()[i]
+
+    def __iter__(self):
+        return iter(self._states())
+
+    def __eq__(self, other):
+        if isinstance(other, NashIntervals):
+            other = other._states()
+        return self._states() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._states())
+
+
+def scan_nash(inst: Instance) -> NashIntervals:
+    """All equilibrium states on the (u1, u2) grid, as intervals sorted by (u1, u2).
 
     Evaluates only the cells that can hold an equilibrium: the corner
     (0, 0); on the column u2 = n2, the all-direct state and the few cells
     around t1(n2) where region 3 lies; and region 2's interval of u2 in
     each interior row u1 (`_region2_rows`) that can have one, which needs
     u1 >= t1(0) - 1 and t2(u1) - 1 <= n2.  Each bound is widened by a margin
-    that covers rounding and the conditions' slack.  Memory is O(rows + |NE|)
-    for those rows; time is that plus one stable sort of the states.  A
-    count of MAX_COUNT or more is rejected before any work.
+    that covers rounding and the conditions' slack.  Time and memory are
+    O(rows) for those rows: the states are not built until the result is
+    iterated, indexed, compared or printed, which then costs O(|NE|) and one
+    stable sort.  A count of MAX_COUNT or more is rejected before any work.
     """
     _check_two_sources(inst)
     check_scan_size(inst)
@@ -219,21 +287,10 @@ def scan_nash(inst: Instance) -> list[TwoSourceState]:
         first = _floor(_threshold(canon, n1, n2, 0) - 1.0 - s * (1 + extra), bound) - 1
         last = 1 - _floor((_threshold(canon, n2, n1, 0) - (n2 + 1 + extra)) / s, bound)
         rows = np.arange(max(1, first), min(n1 - 1, last) + 1)
-        lo, hi = _region2_rows(canon, rows, extra)
+        if rows.size:
+            lo, hi = _region2_rows(canon, rows, extra)
     column = np.array(column)
-    column = column[_is_ne(canon, column, n2)]
-    width = np.maximum(hi - lo + 1, 0)
-    # Corner, intervals row by row, then the column: a stable sort on the
-    # instance's first coordinate leaves ties in ascending order of the other.
-    a1 = np.concatenate((corner, np.repeat(rows, width), column))
-    a2 = np.concatenate((
-        corner,
-        np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
-        np.full(column.size, n2),
-    ))
-    states = np.stack((a1, a2), axis=1)[:, list(perm)]
-    states = states[np.argsort(states[:, 0], kind="stable")].tolist()
-    return [TwoSourceState(a, b) for a, b in states]
+    return NashIntervals(canon, perm, corner, rows, lo, hi, column[_is_ne(canon, column, n2)])
 
 
 def construct_existence_ne(inst: Instance) -> TwoSourceState:
@@ -296,7 +353,7 @@ def check_corollaries(inst: Instance) -> dict[str, str]:
     if n1 * qb < qm + n2 + qb - TOLERANCE and inst.q > 2.0 / inst.n + TOLERANCE:
         states = scan_nash(inst)
         results["unique_all_direct_ne"] = (
-            "pass" if states == [all_direct] else "fail"
+            "pass" if len(states) == 1 and states[0] == all_direct else "fail"
         )
     else:
         results["unique_all_direct_ne"] = "not-applicable"

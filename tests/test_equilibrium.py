@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import lossnet as ln
 from lossnet.equilibrium import _conditions, _moves
 from lossnet.errors import CapacityError, InvalidInputError
-from lossnet.model import prefers, profile_blocks
+from lossnet.model import delivered, link_rates, prefers, profile_blocks
 
 from conftest import count_shapes, moved, random_instance, random_profile
 
@@ -319,6 +319,61 @@ def test_two_source_worst_ne_is_the_exact_minimum_over_the_scan():
         states = ln.scan_nash(inst)
         worst = min((ln.total_traffic(inst, s.expand(inst)) for s in states), default=None)
         assert ln.poa_report(inst).tr_worst_ne == worst
+
+
+def assert_end_minimum_is_the_list_minimum(inst):
+    """poa_report reads the interval ends; the reference walks every listed state.
+
+    The ends must also hold the first and last state of every run of u2 in a
+    row of the sorted instance: the worst state has not been seen at an
+    upper end only, so ends that lost the upper ones would still give the
+    right minimum.
+    """
+    n1, n2 = inst.user_counts
+    states = list(ln.scan_nash(inst))
+    worst = min((delivered(inst, link_rates(inst, ((s.u1, n1 - s.u1), (n2 - s.u2, s.u2))))
+                 for s in states), default=None)
+    rep = ln.poa_report(inst)
+    assert repr(rep.tr_worst_ne) == repr(worst), inst
+    assert rep.ne_count == len(states), inst
+    swap = n1 < n2
+    cells = {(s.u2, s.u1) if swap else (s.u1, s.u2) for s in states}
+    run_ends = {(a, b) for a, b in cells if (a, b - 1) not in cells or (a, b + 1) not in cells}
+    u1, u2 = (a.tolist() for a in ln.scan_nash(inst).ends())
+    ends = set(zip(*((u2, u1) if swap else (u1, u2))))
+    assert run_ends <= ends <= cells, inst
+
+
+def end_minimum_corpus():
+    rng = random.Random(27)
+    for _ in range(300):
+        n1 = int(10 ** rng.uniform(0, 4))
+        n2 = rng.choice([n1, max(1, n1 - 1), rng.randint(1, n1), int(10 ** rng.uniform(0, 4))])
+        q = rng.choice([0.0, 1e-3, rng.random(), 1.0 - 1e-3, 1.0])
+        counts = (n1, n2) if rng.random() < 0.5 else (n2, n1)
+        yield ln.Instance(counts, 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-3, 4), q)
+    yield ln.Instance((10**5, 10**5 - 1), 1.0, 1.0, 0.0)
+
+
+def test_worst_ne_from_interval_ends_equals_the_list_minimum():
+    # Along a row the delivered traffic is concave in u2, so the ends hold the
+    # minimum; the corpus pins that float rounding agrees, near-ties included.
+    for inst in end_minimum_corpus():
+        assert_end_minimum_is_the_list_minimum(inst)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.tuples(st.integers(1, 10**4), st.integers(-2, 2)),
+    phi=st.floats(0.01, 100.0),
+    mu_per_phi=st.floats(1e-3, 1e4),
+    q=st.one_of(st.sampled_from([0.0, 1e-3, 1.0 - 1e-3, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_worst_ne_from_interval_ends_equals_the_list_minimum_hypothesis(counts, phi, mu_per_phi, q):
+    # The second count is the first moved by -2 to 2, where the sets are largest.
+    n1, d = counts
+    inst = ln.Instance((n1, max(1, n1 + d)), phi, mu_per_phi * phi, q)
+    assert_end_minimum_is_the_list_minimum(inst)
 
 
 def test_poa_empty_equilibrium_set_is_reported_not_raised():

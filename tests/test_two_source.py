@@ -318,11 +318,11 @@ def test_scan_keeps_every_cell_the_predicate_admits_near_q1(n1, qb, count):
     assert len(admitted) == count
 
 
-def _cli_in_a_small_address_space(tmp_path, argv):
-    """Run `lossnet` on (10**8, 10**7) users, mu = 10, q = 0.3, in a child limited
-    to 1 GiB of address space and one BLAS thread."""
+def _cli_in_a_small_address_space(tmp_path, counts, mu, q, argv):
+    """Run `lossnet` on two sources with phi = 1 in a child limited to 1 GiB of
+    address space and one BLAS thread."""
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"m": 2, "n": [10**8, 10**7], "phi": 1.0, "mu": 10.0, "q": 0.3}))
+    inst.write_text(json.dumps({"m": 2, "n": list(counts), "phi": 1.0, "mu": mu, "q": q}))
     src = str(Path(ln.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -336,13 +336,22 @@ def _cli_in_a_small_address_space(tmp_path, argv):
 
 
 def test_cli_scan_and_poa_at_heavy_traffic_in_a_small_address_space(tmp_path):
-    scan = _cli_in_a_small_address_space(tmp_path, ["two-source", "scan"])
+    big = ((10**8, 10**7), 10.0, 0.3)
+    scan = _cli_in_a_small_address_space(tmp_path, *big, ["two-source", "scan"])
     assert scan.returncode == 0, scan.stderr
     assert json.loads(scan.stdout) == {
         "ne_states": [{"u1": 57142859, "u2": 10**7}], "count": 1}
-    poa = _cli_in_a_small_address_space(tmp_path, ["poa"])
+    poa = _cli_in_a_small_address_space(tmp_path, *big, ["poa"])
     assert poa.returncode == 0, poa.stderr
     assert json.loads(poa.stdout)["ne_count"] == 1
+
+
+def test_cli_poa_counts_two_million_equilibria_in_a_small_address_space(tmp_path):
+    # A q = 0 near-tie: about two equilibria per row.  poa reads the
+    # count and the worst state from the intervals and never lists them.
+    poa = _cli_in_a_small_address_space(tmp_path, (10**6, 10**6 - 1), 1.0, 0.0, ["poa"])
+    assert poa.returncode == 0, poa.stderr
+    assert json.loads(poa.stdout)["ne_count"] == 2 * 10**6
 
 
 @pytest.mark.parametrize("argv", [["two-source", "scan"], ["poa"]])
