@@ -39,6 +39,7 @@ from .optimizer import (
 from .equilibrium import (
     BestResponseResult,
     NEVerdict,
+    NashProfiles,
     PoAReport,
     TrafficBounds,
     best_response_dynamics,

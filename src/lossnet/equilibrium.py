@@ -36,6 +36,7 @@ from .model import (
     TrafficSummary,
     _as_int,
     _conditions,
+    _LazyList,
     check_cap,
     class_loss,
     delivered,
@@ -118,18 +119,52 @@ def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     return NEVerdict(not viols, i_star, tuple(viols))
 
 
-def enumerate_nash(
-    inst: Instance, cap: int = 1_000_000
-) -> list[tuple[RoutingProfile, TrafficSummary]]:
-    """Every equilibrium profile with its traffic summary, lexicographic order."""
-    found = []
+class NashProfiles(_LazyList):
+    """The equilibria of `enumerate_nash`, held as their flow columns.
+
+    A sequence of (RoutingProfile, TrafficSummary) pairs in lexicographic
+    order.  It holds the k equilibria as one (m, m, k) int64 array and their
+    k delivered rates, each with the bits `summarize` gives its profile.
+    `len` and `worst` read the arrays; iterating, indexing, `==` against a
+    list and `repr` build the list of pairs once, on first use
+    (`model._LazyList`).
+    """
+
+    def __init__(self, inst: Instance, cols: np.ndarray, traffic: np.ndarray) -> None:
+        self._inst, self._cols, self._traffic = inst, cols, traffic
+
+    def __len__(self) -> int:
+        return self._cols.shape[2]
+
+    def _pair(self, flow) -> tuple[RoutingProfile, TrafficSummary]:
+        prof = RoutingProfile(flow)
+        return prof, summarize(self._inst, prof)
+
+    def worst(self) -> tuple[RoutingProfile, TrafficSummary] | None:
+        """The pair of the first equilibrium of least traffic; None when there is none."""
+        if not len(self):
+            return None
+        return self._pair(self._cols[..., int(np.argmin(self._traffic))].tolist())
+
+    def _build(self) -> list[tuple[RoutingProfile, TrafficSummary]]:
+        return [self._pair(flow) for flow in self._cols.transpose(2, 0, 1).tolist()]
+
+
+def enumerate_nash(inst: Instance, cap: int = 1_000_000) -> NashProfiles:
+    """Every equilibrium profile with its traffic summary, lexicographic order.
+
+    Each block of `profile_blocks`, which checks the cap before the first,
+    is decided here and keeps its equilibrium columns; their traffic is one
+    `delivered(link_rates(...))` over all of them.  The profiles and
+    summaries are built only when the result is iterated, indexed, compared
+    or printed; `NashProfiles.worst` builds one.
+    """
+    cols = []
     for blk in profile_blocks(inst, cap):
         _, entries = _conditions(inst, blk)
-        is_ne = ~np.any([bad for *_, bad in entries], axis=0)
-        for flow in blk[..., is_ne].transpose(2, 0, 1).tolist():
-            prof = RoutingProfile(flow)
-            found.append((prof, summarize(inst, prof)))
-    return found
+        cols.append(blk[..., ~np.any([bad for *_, bad in entries], axis=0)])
+    cols = np.concatenate(cols, axis=2)
+    return NashProfiles(inst, cols, delivered(inst, link_rates(inst, cols)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +273,9 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
     row's interval, evaluated once over arrays of counts.  Along a row, T1
     and T2 are affine in u2 and delivered traffic is concave in each, so its
     minimum over the interval sits at an end.  Otherwise the equilibrium set
-    is enumerated exhaustively (subject to `cap`).  An empty equilibrium set
+    is enumerated exhaustively (subject to `cap`), and the count and the
+    worst equilibrium are read from `enumerate_nash`'s columns, building one
+    profile and one summary.  An empty equilibrium set
     is reported, not raised.  A negative `cap`, and two sources beyond the
     scan's size limit, are rejected before any work, even where no profile
     is enumerated.
@@ -254,9 +291,10 @@ def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
         tr_worst = float(trs.min()) if trs.size else None
         ne_count = len(states)
     else:
-        trs = [summary.total_traffic for _, summary in enumerate_nash(inst, cap=cap)]
-        tr_worst = min(trs) if trs else None
-        ne_count = len(trs)
+        nes = enumerate_nash(inst, cap=cap)
+        worst = nes.worst()
+        tr_worst = worst[1].total_traffic if worst else None
+        ne_count = len(nes)
     poa_exact = tr_opt / tr_worst if tr_worst else None
     return PoAReport(
         tr_opt=tr_opt,

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -461,6 +462,36 @@ def _row_chunks(total: int, m: int, width: int) -> Iterator[np.ndarray]:
             parts.append(piece)
             have += len(a)
     yield np.concatenate(parts, axis=1)
+
+
+class _LazyList(Sequence):
+    """A sequence held in a compact form, whose list of items is built once, on first use.
+
+    A subclass gives `__len__` from the compact form and `_build`, which
+    returns the list; iterating, indexing, `==` against a list (or another
+    such sequence) and `repr` then behave as that list does.
+    """
+
+    _list: list | None = None
+
+    def _items(self) -> list:
+        if self._list is None:
+            self._list = self._build()
+        return self._list
+
+    def __getitem__(self, i):
+        return self._items()[i]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __eq__(self, other):
+        if isinstance(other, _LazyList):
+            other = other._items()
+        return self._items() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._items())
 
 
 def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:

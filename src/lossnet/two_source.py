@@ -37,19 +37,29 @@ given in the other order are relabeled internally and results are mapped back.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
-from .model import TOLERANCE, Instance, RoutingProfile, _as_int, _conditions, total_traffic
+from .model import (
+    TOLERANCE,
+    Instance,
+    RoutingProfile,
+    _as_int,
+    _conditions,
+    _LazyList,
+    total_traffic,
+)
 from .optimizer import solve_optimal
 
 
 #: `scan_nash` takes fewer users per source: its float thresholds can miss
 #: an equilibrium from 2**52 users on.
 MAX_COUNT = 2**50
+
+#: Most interior rows `_region2_rows` decides in one array pass.
+ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,25 +180,29 @@ def _region2_rows(canon: Instance, a1: np.ndarray, extra: int) -> tuple[np.ndarr
     rows with lo > hi have none.  Its ends are placed by solving both
     conditions for u2, widened by one state each way (rounding moves them by
     far less) and by `extra` more for the conditions' slack, and then moved
-    inward until `_is_ne` holds at each end.
+    inward until `_is_ne` holds at each end.  The rows are decided
+    `ROW_BLOCK` at a time, so beside the two int64 arrays returned the pass
+    holds O(ROW_BLOCK) memory at any user count.
     """
     n1, n2 = canon.user_counts
     qb = canon.qbar
-    lo = np.ceil(_threshold(canon, n2, n1, a1) - 1.0) - 1.0 - extra
-    lo = np.clip(lo, 0, n2).astype(np.int64)
-    # t1 rises by (1 + qb^2) / (2 qb) per unit of u2.
-    hi = (a1 + 1.0 - _threshold(canon, n1, n2, 0)) * (2.0 * qb) / (1.0 + qb * qb)
-    hi = np.clip(np.floor(hi) + 1.0 + extra, -1, n2 - 1).astype(np.int64)
-    for end, step in ((lo, 1), (hi, -1)):
-        rows = np.flatnonzero(lo <= hi)
-        while rows.size:
-            rows = rows[~_is_ne(canon, a1[rows], end[rows])]
-            end[rows] += step
-            rows = rows[lo[rows] <= hi[rows]]
+    lo, hi = np.empty_like(a1), np.empty_like(a1)
+    for start in range(0, a1.size, ROW_BLOCK):
+        a, lo_a, hi_a = (x[start : start + ROW_BLOCK] for x in (a1, lo, hi))
+        lo_a[:] = np.clip(np.ceil(_threshold(canon, n2, n1, a) - 1.0) - 1.0 - extra, 0, n2)
+        # t1 rises by (1 + qb^2) / (2 qb) per unit of u2.
+        top = (a + 1.0 - _threshold(canon, n1, n2, 0)) * (2.0 * qb) / (1.0 + qb * qb)
+        hi_a[:] = np.clip(np.floor(top) + 1.0 + extra, -1, n2 - 1)
+        for end, step in ((lo_a, 1), (hi_a, -1)):
+            rows = np.flatnonzero(lo_a <= hi_a)
+            while rows.size:
+                rows = rows[~_is_ne(canon, a[rows], end[rows])]
+                end[rows] += step
+                rows = rows[lo_a[rows] <= hi_a[rows]]
     return lo, hi
 
 
-class NashIntervals(Sequence):
+class NashIntervals(_LazyList):
     """The equilibrium states of `scan_nash`, held as the intervals it found.
 
     The set is the corner (0, 0), one interval [lo, hi] of u2 per interior
@@ -202,7 +216,6 @@ class NashIntervals(Sequence):
     def __init__(self, canon: Instance, perm, corner, rows, lo, hi, column) -> None:
         self._canon, self._perm = canon, perm
         self._corner, self._rows, self._lo, self._hi, self._column = corner, rows, lo, hi, column
-        self._list: list[TwoSourceState] | None = None
 
     def __len__(self) -> int:
         width = np.maximum(self._hi - self._lo + 1, 0)
@@ -219,37 +232,21 @@ class NashIntervals(Sequence):
                              np.full(self._column.size, n2, dtype=np.int64))))
         return a[self._perm[0]], a[self._perm[1]]
 
-    def _states(self) -> list[TwoSourceState]:
-        if self._list is None:
-            n2, perm = self._canon.user_counts[1], self._perm
-            corner, rows, lo, column = self._corner, self._rows, self._lo, self._column
-            width = np.maximum(self._hi - lo + 1, 0)
-            # Corner, intervals row by row, then the column: a stable sort on the
-            # instance's first coordinate leaves ties in ascending order of the other.
-            a1 = np.concatenate((corner, np.repeat(rows, width), column))
-            a2 = np.concatenate((
-                corner,
-                np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
-                np.full(column.size, n2),
-            ))
-            states = np.stack((a1, a2), axis=1)[:, list(perm)]
-            states = states[np.argsort(states[:, 0], kind="stable")].tolist()
-            self._list = [TwoSourceState(a, b) for a, b in states]
-        return self._list
-
-    def __getitem__(self, i):
-        return self._states()[i]
-
-    def __iter__(self):
-        return iter(self._states())
-
-    def __eq__(self, other):
-        if isinstance(other, NashIntervals):
-            other = other._states()
-        return self._states() == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._states())
+    def _build(self) -> list[TwoSourceState]:
+        n2, perm = self._canon.user_counts[1], self._perm
+        corner, rows, lo, column = self._corner, self._rows, self._lo, self._column
+        width = np.maximum(self._hi - lo + 1, 0)
+        # Corner, intervals row by row, then the column: a stable sort on the
+        # instance's first coordinate leaves ties in ascending order of the other.
+        a1 = np.concatenate((corner, np.repeat(rows, width), column))
+        a2 = np.concatenate((
+            corner,
+            np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
+            np.full(column.size, n2),
+        ))
+        states = np.stack((a1, a2), axis=1)[:, list(perm)]
+        states = states[np.argsort(states[:, 0], kind="stable")].tolist()
+        return [TwoSourceState(a, b) for a, b in states]
 
 
 def scan_nash(inst: Instance) -> NashIntervals:

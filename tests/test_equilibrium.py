@@ -116,16 +116,74 @@ def test_enumerate_frozen_equilibrium_set_2_2():
     assert worst == pytest.approx(1.3103448275862069, rel=1e-12)
 
 
-def test_enumerate_equals_oracle_filter_of_all_profiles():
+def exhaustive_instances():
+    """Every count vector with m <= 3 and at most 7 users, at three (q, mu), and
+    (6, 5, 4) at q = 0, whose 8,820 profiles span several blocks."""
     shapes = [
         c for m in (1, 2, 3) for c in itertools.product(range(1, 8), repeat=m) if sum(c) <= 7
     ]
     cases = [(c, q, mu) for c in shapes for q, mu in ((0.0, 1.0), (0.3, 0.5), (0.7, 3.0))]
-    cases.append(((6, 5, 4), 0.0, 1.0))  # 8,820 profiles: several blocks
+    cases.append(((6, 5, 4), 0.0, 1.0))
     for counts, q, mu in cases:
-        inst = ln.Instance(counts, 1.0, mu, q)
+        yield ln.Instance(counts, 1.0, mu, q)
+
+
+def test_enumerate_equals_oracle_filter_of_all_profiles():
+    for inst in exhaustive_instances():
         want = [p for p in ln.iter_profiles(inst) if ln.is_nash_deviation_oracle(inst, p).is_ne]
-        assert [p for p, _ in ln.enumerate_nash(inst)] == want, (counts, q, mu)
+        assert [p for p, _ in ln.enumerate_nash(inst)] == want, inst
+
+
+def assert_count_and_worst_equal_the_expanded_list(inst):
+    """`len` and `worst()`, read before the list exists, equal the count and the
+    first least-traffic pair of the expanded list, whose traffic the columns'
+    array holds bit for bit; `poa_report` beyond two sources reports the same."""
+    nes = ln.enumerate_nash(inst)
+    count, worst = len(nes), nes.worst()
+    pairs = list(nes)
+    assert count == len(pairs), inst
+    assert [s.total_traffic for _, s in pairs] == nes._traffic.tolist(), inst
+    if pairs:
+        least = min(s.total_traffic for _, s in pairs)
+        assert worst == next(pair for pair in pairs if pair[1].total_traffic == least), inst
+    else:
+        assert worst is None, inst
+    if inst.m != 2:
+        rep = ln.poa_report(inst)
+        assert rep.ne_count == count, inst
+        assert repr(rep.tr_worst_ne) == repr(worst[1].total_traffic if pairs else None), inst
+
+
+def test_enumeration_count_and_worst_equal_the_expanded_list():
+    for inst in exhaustive_instances():
+        assert_count_and_worst_equal_the_expanded_list(inst)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    phi=st.floats(0.01, 100.0),
+    mu_per_phi=st.floats(1e-3, 1e4),
+    q=st.one_of(st.sampled_from([0.0, 1e-3, 1.0 - 1e-3, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_enumeration_count_and_worst_equal_the_expanded_list_hypothesis(
+    counts, phi, mu_per_phi, q
+):
+    assert_count_and_worst_equal_the_expanded_list(ln.Instance(counts, phi, mu_per_phi * phi, q))
+
+
+def test_poa_builds_one_summary_for_hundreds_of_equilibria(monkeypatch):
+    calls = []
+
+    def counted(inst, prof):
+        calls.append(prof)
+        return ln.summarize(inst, prof)
+
+    inst = ln.Instance((6, 5, 5), 1.0, 1.0, 0.0)
+    monkeypatch.setattr(ln.equilibrium, "summarize", counted)
+    rep = ln.poa_report(inst)
+    assert rep.ne_count == 798 and len(calls) == 1
+    assert rep.tr_worst_ne == ln.total_traffic(inst, calls[0])
 
 
 def test_enumerate_cap_error_names_count_and_cap():

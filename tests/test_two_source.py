@@ -17,7 +17,7 @@ import lossnet as ln
 from lossnet import cli
 from lossnet.errors import InvalidInputError, UndefinedThresholdError
 from lossnet.model import TOLERANCE
-from lossnet.two_source import MAX_COUNT, TwoSourceState, _is_ne, _threshold
+from lossnet.two_source import MAX_COUNT, ROW_BLOCK, TwoSourceState, _is_ne, _threshold
 
 from conftest import cross_check_state
 
@@ -303,6 +303,35 @@ def test_scan_memory_follows_the_rows_that_can_hold_an_equilibrium():
     assert states == [TwoSourceState(5714288, 10**6)]
     for v1 in (5714287, 5714289):
         assert not ln.classify(inst, TwoSourceState(v1, 10**6)).is_ne
+
+
+def test_scan_decides_two_million_equilibria_in_blocks_of_rows():
+    # A q = 0 near-tie: about two equilibria in each of 10**6 interior rows.
+    # Rows are decided ROW_BLOCK at a time, so the peak is the three int64
+    # interval arrays (23 MiB) and one block's temporaries; one pass over
+    # every row peaked at 182 MiB.
+    inst = ln.Instance((10**6, 10**6 - 1), 1.0, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        states = ln.scan_nash(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    assert len(states) == 2 * 10**6
+
+
+def test_scan_in_few_row_blocks_gives_the_same_intervals(monkeypatch):
+    corpus = [*random_instances(), *exact_tie_instances(), *figure_preset_instances(),
+              ln.Instance((10**3, 10**3 - 1), 1.0, 1.0, 0.0)]
+    # The figures sweeps scan one block of rows each.
+    assert max(max(inst.user_counts) for inst in figure_preset_instances()) < ROW_BLOCK
+    want = [ln.scan_nash(inst) for inst in corpus]
+    monkeypatch.setattr(ln.two_source, "ROW_BLOCK", 3)
+    for inst, w in zip(corpus, want):
+        got = ln.scan_nash(inst)
+        assert len(got) == len(w) and got == w, inst
+        assert all(np.array_equal(a, b) for a, b in zip(got.ends(), w.ends())), inst
 
 
 @pytest.mark.parametrize("n1, qb, count", [(10**12, 3e-12, 335), (10**10, 3e-10, 5)])
