@@ -20,11 +20,7 @@ from .model import (
     TrafficSummary,
     count_profiles,
     instance_from_json,
-    instance_to_json,
-    iter_profiles,
-    loss_rate,
     profile_from_json,
-    profile_to_json,
     summarize,
     total_traffic,
     traffic_rates,
@@ -41,13 +37,11 @@ from .equilibrium import (
     NEVerdict,
     NashProfiles,
     PoAReport,
-    TrafficBounds,
     best_response_dynamics,
     enumerate_nash,
     is_nash_characterization,
     is_nash_deviation_oracle,
     mixing_level,
-    ne_traffic_bounds,
     poa_bound,
     poa_report,
 )

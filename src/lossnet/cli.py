@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-opt", help="maximize total delivered traffic")
     p.add_argument("--instance", required=True)
-    p.add_argument("--oracle", nargs="?", type=int, const=10_000_000, metavar="CAP",
-                   help="cross-check against brute force over at most CAP profiles")
+    p.add_argument("--oracle", nargs="?", type=int, const=optimizer.BRUTE_FORCE_CAP,
+                   metavar="CAP", help="cross-check against brute force over at most CAP profiles")
     p.set_defaults(func=_cmd_solve_opt)
 
     p = sub.add_parser("check-ne", help="equilibrium verdict for one profile")
@@ -242,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-ne", help="list every equilibrium profile")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=equilibrium.ENUMERATION_CAP)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_enumerate_ne)
 
     p = sub.add_parser("poa", help="price-of-anarchy report")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=equilibrium.ENUMERATION_CAP)
     p.set_defaults(func=_cmd_poa)
 
     p = sub.add_parser("dynamics", help="best-response dynamics from a start profile")
@@ -273,14 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--validate", nargs="?", type=float, const=3.0, metavar="SIGMAS",
+    p.add_argument("--validate", nargs="?", type=float, const=packet_sim.TOLERANCE_SIGMAS,
+                   metavar="SIGMAS",
                    help="compare loss rates with the model within SIGMAS standard errors")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=equilibrium.ENUMERATION_CAP)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

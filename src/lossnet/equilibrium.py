@@ -46,8 +46,11 @@ from .model import (
     profile_blocks,
     summarize,
 )
-from .optimizer import opt_traffic_upper_bound, solve_optimal
-from .two_source import check_scan_size, scan_nash
+from .optimizer import solve_optimal
+from .two_source import _state_flow, check_scan_size, scan_nash
+
+#: Most profiles `enumerate_nash` and `poa_report` enumerate unless told otherwise.
+ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ class NashProfiles(_LazyList):
         return [self._pair(flow) for flow in self._cols.transpose(2, 0, 1).tolist()]
 
 
-def enumerate_nash(inst: Instance, cap: int = 1_000_000) -> NashProfiles:
+def enumerate_nash(inst: Instance, cap: int = ENUMERATION_CAP) -> NashProfiles:
     """Every equilibrium profile with its traffic summary, lexicographic order.
 
     Each block of `profile_blocks`, which checks the cap before the first,
@@ -219,14 +222,6 @@ def best_response_dynamics(
     return BestResponseResult(RoutingProfile(flow), max_rounds, "budget-exhausted")
 
 
-@dataclass(frozen=True)
-class TrafficBounds:
-    """Closed-form envelope: optimum from above, every equilibrium from below."""
-
-    opt_upper: float
-    ne_lower: float | None
-
-
 def mixing_level(inst: Instance) -> float:
     """The quantity z = min(n_m, n/(4m) - qbar - q*mu/phi) driving the bounds."""
     return min(
@@ -244,14 +239,6 @@ def poa_bound(inst: Instance) -> float | None:
     return 1.0 + n1 * inst.mu / (n1 * z * inst.phi + z * inst.mu)
 
 
-def ne_traffic_bounds(inst: Instance) -> TrafficBounds:
-    z = mixing_level(inst)
-    ne_lower = None
-    if z > 0:
-        ne_lower = inst.mu * (inst.m - inst.m * inst.mu / (z * inst.phi + inst.mu))
-    return TrafficBounds(opt_upper=opt_traffic_upper_bound(inst), ne_lower=ne_lower)
-
-
 @dataclass(frozen=True)
 class PoAReport:
     """Optimum vs worst equilibrium, with the closed-form bound when defined."""
@@ -264,30 +251,27 @@ class PoAReport:
     ne_count: int
 
 
-def poa_report(inst: Instance, cap: int = 1_000_000) -> PoAReport:
+def poa_report(inst: Instance, cap: int = ENUMERATION_CAP) -> PoAReport:
     """Exact price of anarchy plus the analytic bound.
 
     Two-source instances read `scan_nash`'s intervals without building its
     states: the count is their total width, and the worst equilibrium is the
-    least traffic over the corner, the column cells and the two ends of each
-    row's interval, evaluated once over arrays of counts.  Along a row, T1
-    and T2 are affine in u2 and delivered traffic is concave in each, so its
-    minimum over the interval sits at an end.  Otherwise the equilibrium set
-    is enumerated exhaustively (subject to `cap`), and the count and the
-    worst equilibrium are read from `enumerate_nash`'s columns, building one
-    profile and one summary.  An empty equilibrium set
-    is reported, not raised.  A negative `cap`, and two sources beyond the
-    scan's size limit, are rejected before any work, even where no profile
-    is enumerated.
+    least traffic over the two ends of each interval, evaluated once over
+    arrays of counts.  Along a row, T1 and T2 are affine in u2 and delivered
+    traffic is concave in each, so its minimum over the interval sits at an
+    end.  Otherwise the equilibrium set is enumerated exhaustively (subject
+    to `cap`), and the count and the worst equilibrium are read from
+    `enumerate_nash`'s columns, building one profile and one summary.  An
+    empty equilibrium set is reported, not raised.  A negative `cap`, and two
+    sources beyond the scan's size limit, are rejected before any work, even
+    where no profile is enumerated.
     """
     check_cap(cap)
     check_scan_size(inst)
     tr_opt = solve_optimal(inst).tr
     if inst.m == 2:
-        n1, n2 = inst.user_counts
         states = scan_nash(inst)
-        u1, u2 = states.ends()
-        trs = delivered(inst, link_rates(inst, ((u1, n1 - u1), (n2 - u2, u2))))
+        trs = delivered(inst, link_rates(inst, _state_flow(inst, *states.ends())))
         tr_worst = float(trs.min()) if trs.size else None
         ne_count = len(states)
     else:

@@ -42,7 +42,7 @@ It and `_conditions` compare in users, with one tie policy: only a slack
 above `TOLERANCE` counts, so indifference counts as equilibrium.
 
 `_as_int` is the package's one integer check: every count, flow entry, state,
-index, seed, round budget, cap and thread count goes through it.  Its twin
+seed, round budget, cap and thread count goes through it.  Its twin
 `_as_real` checks phi, mu, q, horizons and sigma counts and returns Python
 floats, so every analysis runs in float64 whatever type the caller passed.
 
@@ -264,17 +264,6 @@ def traffic_rates(inst: Instance, prof: RoutingProfile) -> tuple[float, ...]:
     return tuple(link_rates(inst, prof.flow))
 
 
-def loss_rate(inst: Instance, prof: RoutingProfile, origin: int, relay: int) -> float:
-    """Loss rate of a user of source `origin` routing via `relay`.
-
-    The class need not be occupied; rates are those induced by `prof`.
-    Loss probability is this value divided by phi.
-    """
-    _as_int(origin, "origin", 0, inst.m - 1)
-    _as_int(relay, "relay", 0, inst.m - 1)
-    return class_loss(inst, traffic_rates(inst, prof)[relay], origin, relay, inst.phi)
-
-
 def class_loss(inst: Instance, t: float, origin: int, relay: int, phi: float = 1.0) -> float:
     """Loss rate of class (origin, relay) at rate `t` on link `relay`, per user of rate `phi`.
 
@@ -377,13 +366,14 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     """Every valid profile as (m, m, k) int64 flow blocks, k <= width, profiles last.
 
     ``blk[i, j]`` is the contiguous row of flow[i][j] over the block's k
-    profiles, which come in `iter_profiles` order.  CapacityError (more
-    profiles than `cap`) and InvalidInputError (a negative `cap`, or too many
-    users for int64) are raised here, before any block is built.  A block
-    joins `per_block` consecutive heads (the leading m - 1 rows, regrouped
-    from their own blocks) with the last row: all of it when it is short,
-    one chunk of it when it is longer than the width.  Each of the m levels
-    of the row recursion holds one block, so the width, k's bound, is
+    profiles, which come in ascending lexicographic order of the flattened
+    flow, across blocks as within them.  CapacityError (more profiles than
+    `cap`) and InvalidInputError (a negative `cap`, or too many users for
+    int64) are raised here, before any block is built.  A block joins
+    `per_block` consecutive heads (the leading m - 1 rows, regrouped from
+    their own blocks) with the last row: all of it when it is short, one
+    chunk of it when it is longer than the width.  Each of the m levels of
+    the row recursion holds one block, so the width, k's bound, is
     max(1, min(BLOCK, 16 * BLOCK // m**2)): at most 16 * BLOCK entries a block.
     """
     if inst.n >= 2**62:
@@ -494,13 +484,6 @@ class _LazyList(Sequence):
         return repr(self._items())
 
 
-def iter_profiles(inst: Instance) -> Iterator[RoutingProfile]:
-    """All valid profiles, lexicographically ascending on the flattened flow."""
-    for blk in profile_blocks(inst):
-        for flow in blk.transpose(2, 0, 1).tolist():
-            yield RoutingProfile(flow)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange.  Instance: {"m": int, "n": [int, ...], "phi": float,
 # "mu": float, "q": float}.  Profile: {"flow": [[int, ...], ...]}.
@@ -532,16 +515,6 @@ def instance_from_json(obj: dict) -> Instance:
     return Instance(tuple(n), phi, mu, q)
 
 
-def instance_to_json(inst: Instance) -> dict:
-    return {
-        "m": inst.m,
-        "n": list(inst.user_counts),
-        "phi": inst.phi,
-        "mu": inst.mu,
-        "q": inst.q,
-    }
-
-
 def profile_from_json(obj: dict) -> RoutingProfile:
     flow = _fields(obj, "profile", ("flow",))["flow"]
     if not isinstance(flow, list) or not flow:
@@ -552,7 +525,3 @@ def profile_from_json(obj: dict) -> RoutingProfile:
         for j, c in enumerate(row):
             _as_int(c, f"field 'flow[{i}][{j}]'", 0)
     return RoutingProfile(tuple(tuple(row) for row in flow))
-
-
-def profile_to_json(prof: RoutingProfile) -> dict:
-    return {"flow": [list(row) for row in prof.flow]}

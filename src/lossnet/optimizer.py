@@ -43,6 +43,8 @@ from .model import Instance, RoutingProfile, delivered, link_rates, profile_bloc
 
 #: Relative window within which two total-traffic values count as tied.
 _TIE_REL = 1e-12
+#: Most profiles `brute_force_optimal` evaluates unless told otherwise.
+BRUTE_FORCE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,7 @@ def solve_optimal(inst: Instance) -> OptimalSolution:
     return OptimalSolution(profile, total_traffic(inst, profile), best_split)
 
 
-def brute_force_optimal(inst: Instance, cap: int = 10_000_000) -> OptimalSolution:
+def brute_force_optimal(inst: Instance, cap: int = BRUTE_FORCE_CAP) -> OptimalSolution:
     """Exhaustive maximizer over every routing profile; ground truth.
 
     Among traffic-tied maximizers prefers the one with the most direct-path

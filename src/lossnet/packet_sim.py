@@ -44,6 +44,8 @@ from .model import (Instance, RoutingProfile, _as_int, _as_real, class_loss, lin
 
 #: A chunk draws at most WINDOW // 2 busy/idle cycles, two float64s each.
 WINDOW = 1 << 16
+#: Standard errors an observed loss fraction may stray from the model's.
+TOLERANCE_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ def assess_outcome(
     prof: RoutingProfile,
     outcome: SimOutcome,
     rates: tuple[float, ...],
-    tolerance_sigmas: float = 3.0,
+    tolerance_sigmas: float = TOLERANCE_SIGMAS,
 ) -> ValidationReport:
     """Compare an outcome against targets computed from the given link rates.
 
@@ -222,7 +224,8 @@ def assess_outcome(
     return ValidationReport(tuple(checks))
 
 
-def validate_analytics(cfg: SimConfig, tolerance_sigmas: float = 3.0) -> ValidationReport:
+def validate_analytics(cfg: SimConfig,
+                       tolerance_sigmas: float = TOLERANCE_SIGMAS) -> ValidationReport:
     """Run one simulation and compare it with the closed-form loss model.
 
     Per link: empirical blocking fraction against T_j / (T_j + mu).  Per

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import CapacityError, InvalidInputError
 from .model import Instance, _as_int, _as_real, _fields, check_cap, instance_from_json
-from .equilibrium import poa_bound, poa_report
+from .equilibrium import ENUMERATION_CAP, poa_bound, poa_report
 from .optimizer import check_gain_test, solve_optimal
 from .two_source import check_scan_size
 
@@ -105,7 +105,7 @@ def _row(spec: SweepSpec, value, cap: int) -> dict:
     return row
 
 
-def run_sweep(spec: SweepSpec, cap: int = 1_000_000, threads: int = 1) -> list[dict]:
+def run_sweep(spec: SweepSpec, cap: int = ENUMERATION_CAP, threads: int = 1) -> list[dict]:
     """One row per grid point, in grid order, in the calling thread; `threads` must be 1."""
     check_cap(cap)
     _as_int(threads, "threads", 1, 1)

@@ -77,9 +77,7 @@ class TwoSourceState:
 
     def expand(self, inst: Instance) -> RoutingProfile:
         """The unique flow matrix realizing this state."""
-        u1, u2 = self._checked(inst)
-        n1, n2 = inst.user_counts
-        return RoutingProfile(((u1, n1 - u1), (n2 - u2, u2)))
+        return RoutingProfile(_state_flow(inst, *self._checked(inst)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,12 @@ class TwoSourceVerdict:
     is_ne: bool
     t1_at_u2: float | None
     t2_at_u1: float | None
+
+
+def _state_flow(inst: Instance, u1, u2):
+    """The flow ((u1, n1 - u1), (n2 - u2, u2)) of the state (u1, u2), on ints or arrays."""
+    n1, n2 = inst.user_counts
+    return (u1, n1 - u1), (n2 - u2, u2)
 
 
 def _check_two_sources(inst: Instance) -> None:
@@ -129,8 +133,7 @@ def _is_ne(canon: Instance, a1, a2):
     On ints the verdict is a bool, reached in plain Python; on arrays that
     broadcast together it is a boolean array.
     """
-    n1, n2 = canon.user_counts
-    _, entries = _conditions(canon, ((a1, n1 - a1), (n2 - a2, a2)))
+    _, entries = _conditions(canon, _state_flow(canon, a1, a2))
     if isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray):
         return ~np.any([bad for *_, bad in entries], axis=0)
     return not any(bad for *_, bad in entries)
@@ -205,46 +208,35 @@ def _region2_rows(canon: Instance, a1: np.ndarray, extra: int) -> tuple[np.ndarr
 class NashIntervals(_LazyList):
     """The equilibrium states of `scan_nash`, held as the intervals it found.
 
-    The set is the corner (0, 0), one interval [lo, hi] of u2 per interior
-    row u1 and some cells of the column u2 = n2, in the sorted instance.  It
-    is a sequence of `TwoSourceState`s sorted by (u1, u2) in the given
-    instance's indexing.  `len` and `ends` read the intervals; iterating,
-    indexing, `==` against a list and `repr` build that list once, on first
-    use, and then behave as it does.
+    In the sorted instance, row ``rows[k]`` holds the states with u2 in
+    [lo[k], hi[k]], none when lo[k] > hi[k]: the corner (0, 0), one interval
+    per interior row u1, then each cell of the column u2 = n2.  It is a
+    sequence of `TwoSourceState`s sorted by (u1, u2) in the given instance's
+    indexing.  `len` and `ends` read the intervals; iterating, indexing,
+    `==` against a list and `repr` build that list once, on first use, and
+    then behave as it does.
     """
 
-    def __init__(self, canon: Instance, perm, corner, rows, lo, hi, column) -> None:
-        self._canon, self._perm = canon, perm
-        self._corner, self._rows, self._lo, self._hi, self._column = corner, rows, lo, hi, column
+    def __init__(self, canon: Instance, perm, rows, lo, hi) -> None:
+        self._canon, self._perm, self._rows, self._lo, self._hi = canon, perm, rows, lo, hi
 
     def __len__(self) -> int:
-        width = np.maximum(self._hi - self._lo + 1, 0)
-        return self._corner.size + int(width.sum()) + self._column.size
+        return int(np.maximum(self._hi - self._lo + 1, 0).sum())
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u1, u2) int64 arrays in the given instance's indexing: the corner,
-        both ends of each non-empty interval, then the column cells."""
+        """(u1, u2) int64 arrays, in the given instance's indexing, of each interval's two ends."""
         keep = self._lo <= self._hi
         rows = self._rows[keep]
-        n2 = self._canon.user_counts[1]
-        a = (np.concatenate((self._corner, rows, rows, self._column)),
-             np.concatenate((self._corner, self._lo[keep], self._hi[keep],
-                             np.full(self._column.size, n2, dtype=np.int64))))
+        a = np.concatenate((rows, rows)), np.concatenate((self._lo[keep], self._hi[keep]))
         return a[self._perm[0]], a[self._perm[1]]
 
     def _build(self) -> list[TwoSourceState]:
-        n2, perm = self._canon.user_counts[1], self._perm
-        corner, rows, lo, column = self._corner, self._rows, self._lo, self._column
-        width = np.maximum(self._hi - lo + 1, 0)
-        # Corner, intervals row by row, then the column: a stable sort on the
-        # instance's first coordinate leaves ties in ascending order of the other.
-        a1 = np.concatenate((corner, np.repeat(rows, width), column))
-        a2 = np.concatenate((
-            corner,
-            np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo, width),
-            np.full(column.size, n2),
-        ))
-        states = np.stack((a1, a2), axis=1)[:, list(perm)]
+        width = np.maximum(self._hi - self._lo + 1, 0)
+        # The intervals in their order: a stable sort on the instance's first
+        # coordinate leaves ties in ascending order of the other.
+        a1 = np.repeat(self._rows, width)
+        a2 = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - self._lo, width)
+        states = np.stack((a1, a2), axis=1)[:, list(self._perm)]
         states = states[np.argsort(states[:, 0], kind="stable")].tolist()
         return [TwoSourceState(a, b) for a, b in states]
 
@@ -266,7 +258,6 @@ def scan_nash(inst: Instance) -> NashIntervals:
     check_scan_size(inst)
     canon, perm = inst.canonicalized()
     n1, n2 = canon.user_counts
-    corner = np.array([0] if _is_ne(canon, 0, 0) else [], dtype=np.int64)
     column, rows = [n1], np.arange(0)
     lo = hi = rows
     # `_threshold` divides by 2 * qb.  At q = 1 any user who relays gains by
@@ -286,8 +277,14 @@ def scan_nash(inst: Instance) -> NashIntervals:
         rows = np.arange(max(1, first), min(n1 - 1, last) + 1)
         if rows.size:
             lo, hi = _region2_rows(canon, rows, extra)
-    column = np.array(column)
-    return NashIntervals(canon, perm, corner, rows, lo, hi, column[_is_ne(canon, column, n2)])
+    # The corner (0, 0) and the column's cells, decided in one pass, are one-cell
+    # intervals: the corner goes before the rows, the column after, one array at a time.
+    a1, a2 = np.array([0, *column]), np.array([0] + [n2] * len(column))
+    keep = _is_ne(canon, a1, a2)
+    a1, a2, k = a1[keep], a2[keep], int(keep[0])
+    rows = np.concatenate((a1[:k], rows, a1[k:]))
+    lo = np.concatenate((a2[:k], lo, a2[k:]))
+    return NashIntervals(canon, perm, rows, lo, np.concatenate((a2[:k], hi, a2[k:])))
 
 
 def construct_existence_ne(inst: Instance) -> TwoSourceState:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random instances and profiles,
-one-user moves, the exact-rational traffic of a flow, and the three-way
+every profile one at a time, one-user moves, the exact-rational traffic of a
+flow, the equilibrium-traffic floor, an instance as JSON, and the three-way
 agreement check on one two-source state."""
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ import random
 from fractions import Fraction
 
 import lossnet as ln
+from lossnet.model import profile_blocks
 from lossnet.two_source import TwoSourceState, classify
 
 
@@ -34,6 +36,13 @@ def random_profile(rng: random.Random, inst: ln.Instance) -> ln.RoutingProfile:
     return ln.RoutingProfile(tuple(rows))
 
 
+def iter_profiles(inst: ln.Instance):
+    """Every valid profile, one at a time, in `profile_blocks` order."""
+    for blk in profile_blocks(inst):
+        for flow in blk.transpose(2, 0, 1).tolist():
+            yield ln.RoutingProfile(flow)
+
+
 def moved(prof: ln.RoutingProfile, i: int, r: int, r2: int) -> ln.RoutingProfile:
     """`prof` with one user of class (i, r) moved to route r2."""
     rows = [list(row) for row in prof.flow]
@@ -55,6 +64,21 @@ def exact_traffic(inst: ln.Instance, flow) -> Fraction:
         t = phi * (row[j] + (1 - q) * relayed)
         total += t * mu / (t + mu)
     return total
+
+
+def ne_traffic_floor(inst: ln.Instance) -> float | None:
+    """The closed-form lower bound mu * m * (1 - mu / (z*phi + mu)) on every
+    equilibrium's traffic, defined only when the mixing level z is positive."""
+    z = ln.mixing_level(inst)
+    if z <= 0:
+        return None
+    return inst.mu * (inst.m - inst.m * inst.mu / (z * inst.phi + inst.mu))
+
+
+def instance_json(inst: ln.Instance) -> dict:
+    """`inst` in the instance interchange schema."""
+    return {"m": inst.m, "n": list(inst.user_counts), "phi": inst.phi, "mu": inst.mu,
+            "q": inst.q}
 
 
 def count_shapes(max_m: int, max_total: int) -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ import lossnet as ln
 from lossnet.packet_sim import assess_outcome
 from lossnet.two_source import TwoSourceState
 
-from conftest import count_shapes, cross_check_state
+from conftest import count_shapes, cross_check_state, iter_profiles, ne_traffic_floor
 
 REL_TOL = 1e-9
 
@@ -61,7 +61,7 @@ def exhaustive_universe():
             for mu in (0.5, 1.0, 3.0):
                 inst = ln.Instance(counts, 1.0, mu, q)
                 ne_traffic = []
-                for prof in ln.iter_profiles(inst):
+                for prof in iter_profiles(inst):
                     a = ln.is_nash_characterization(inst, prof).is_ne
                     b = ln.is_nash_deviation_oracle(inst, prof).is_ne
                     checked += 1
@@ -172,8 +172,7 @@ def test_criterion_5_analytic_bounds(
         if z <= 0 or not ne_traffic:
             return
         lower_checked += 1
-        bounds = ln.ne_traffic_bounds(inst)
-        if min(ne_traffic) < bounds.ne_lower - 1e-9:
+        if min(ne_traffic) < ne_traffic_floor(inst) - 1e-9:
             lower_ok = False
         poa = ln.solve_optimal(inst).tr / min(ne_traffic)
         n1 = max(inst.user_counts)

@@ -14,7 +14,9 @@ from lossnet.equilibrium import _conditions, _moves
 from lossnet.errors import CapacityError, InvalidInputError
 from lossnet.model import delivered, link_rates, prefers, profile_blocks
 
-from conftest import count_shapes, moved, random_instance, random_profile
+from conftest import (
+    count_shapes, iter_profiles, moved, ne_traffic_floor, random_instance, random_profile,
+)
 
 
 def both_verdicts(inst, prof):
@@ -56,7 +58,7 @@ def test_characterization_matches_oracle_exhaustively_small():
         for q in (0.0, 0.5, 1.0):
             for mu in (0.5, 1.0, 3.0):
                 inst = ln.Instance(counts, 1.0, mu, q)
-                for prof in ln.iter_profiles(inst):
+                for prof in iter_profiles(inst):
                     a, b = both_verdicts(inst, prof)
                     assert a == b, (counts, q, mu, prof.flow)
 
@@ -130,7 +132,7 @@ def exhaustive_instances():
 
 def test_enumerate_equals_oracle_filter_of_all_profiles():
     for inst in exhaustive_instances():
-        want = [p for p in ln.iter_profiles(inst) if ln.is_nash_deviation_oracle(inst, p).is_ne]
+        want = [p for p in iter_profiles(inst) if ln.is_nash_deviation_oracle(inst, p).is_ne]
         assert [p for p, _ in ln.enumerate_nash(inst)] == want, inst
 
 
@@ -448,9 +450,9 @@ def test_poa_empty_equilibrium_set_is_reported_not_raised():
 
 
 def test_ne_traffic_bounds_example():
-    bounds = ln.ne_traffic_bounds(ln.Instance((3, 2), 1.0, 1.0, 0.5))
-    assert bounds.opt_upper == pytest.approx(1.5, abs=1e-12)
-    assert bounds.ne_lower is None  # z < 0 here
+    inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
+    assert ln.opt_traffic_upper_bound(inst) == pytest.approx(1.5, abs=1e-12)
+    assert ne_traffic_floor(inst) is None  # z < 0 here
 
 
 def test_bounds_hold_for_equilibria_when_z_positive():
@@ -458,11 +460,10 @@ def test_bounds_hold_for_equilibria_when_z_positive():
     inst = ln.Instance((20, 20), 1.0, 1.0, 0.9)
     z = ln.mixing_level(inst)
     assert z > 0
-    bounds = ln.ne_traffic_bounds(inst)
     rep = ln.poa_report(inst)
     assert rep.ne_count >= 1
-    assert rep.tr_worst_ne >= bounds.ne_lower - 1e-9
-    assert rep.tr_opt <= bounds.opt_upper + 1e-9
+    assert rep.tr_worst_ne >= ne_traffic_floor(inst) - 1e-9
+    assert rep.tr_opt <= ln.opt_traffic_upper_bound(inst) + 1e-9
     assert rep.poa_exact <= rep.poa_bound + 1e-6
 
 

@@ -28,8 +28,6 @@ JSON_TWO = {"m": 2, "n": [5, 3], "phi": 1, "mu": 1, "q": 0.5}
 ROWS = [
     ("user_counts", lambda x: ln.Instance((5, x), 1.0, 1.0, 0.5), "user_counts[1]", [0]),
     ("flow entry", lambda x: ln.RoutingProfile(((x, 1), (0, 3))), "flow[0][0]", [-1]),
-    ("loss_rate origin", lambda x: ln.loss_rate(TWO, ALL_DIRECT, x, 0), "origin", [-1, 2]),
-    ("loss_rate relay", lambda x: ln.loss_rate(TWO, ALL_DIRECT, 0, x), "relay", [-1, 2]),
     ("check_cap", check_cap, "enumeration cap", [-5]),
     ("poa_report cap", lambda x: ln.poa_report(TWO, cap=x), "enumeration cap", [-5]),
     ("enumerate_nash cap", lambda x: ln.enumerate_nash(THREE, cap=x), "enumeration cap", [-5]),
@@ -84,5 +82,4 @@ def test_the_rule_admits_the_ends_of_each_range():
     assert check_cap(None) is None and check_cap(0) is None
     assert ln.classify(TWO, TwoSourceState(5, 3)).case_id == "4"
     assert ln.classify(TWO, TwoSourceState(0, 0)).case_id == "2"
-    assert ln.loss_rate(TWO, ALL_DIRECT, 1, 1) > 0
     assert len(run_sweep(SPEC, threads=1)) == 1

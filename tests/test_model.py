@@ -9,10 +9,10 @@ import pytest
 
 import lossnet as ln
 from lossnet.errors import CapacityError, InvalidInputError
-from lossnet.model import delivered, link_rates, profile_blocks
+from lossnet.model import class_loss, delivered, link_rates, profile_blocks
 from lossnet.two_source import TwoSourceState, classify
 
-from conftest import moved, random_instance, random_profile
+from conftest import iter_profiles, moved, random_instance, random_profile
 
 
 def test_traffic_rates_all_direct():
@@ -43,29 +43,23 @@ def test_loss_rate_direct_half():
     # offered rate T equals mu: the busy probability is exactly one half
     inst = ln.Instance((1,), 1.0, 1.0, 0.0)
     prof = ln.RoutingProfile(((1,),))
-    assert ln.loss_rate(inst, prof, 0, 0) == pytest.approx(0.5, abs=1e-12)
+    t = ln.traffic_rates(inst, prof)
+    assert class_loss(inst, t[0], 0, 0, inst.phi) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_loss_rate_q1_indirect_total():
     inst = ln.Instance((2, 1), 1.0, 2.0, 1.0)
     prof = ln.RoutingProfile.all_direct(inst)
-    assert ln.loss_rate(inst, prof, 0, 1) == pytest.approx(inst.phi, abs=1e-12)
+    t = ln.traffic_rates(inst, prof)
+    assert class_loss(inst, t[1], 0, 1, inst.phi) == pytest.approx(inst.phi, abs=1e-12)
 
 
 def test_loss_rate_mixed_value():
     inst = ln.Instance((2, 1), 1.0, 2.0, 0.5)
     prof = ln.RoutingProfile(((1, 1), (0, 1)))
     # 0.5 + 0.5 * (1.5 / 3.5)
-    assert ln.loss_rate(inst, prof, 0, 1) == pytest.approx(0.7142857142857143, rel=1e-12)
-
-
-def test_loss_rate_bad_index():
-    inst = ln.Instance((2, 1), 1.0, 2.0, 0.5)
-    prof = ln.RoutingProfile.all_direct(inst)
-    with pytest.raises(InvalidInputError):
-        ln.loss_rate(inst, prof, 2, 0)
-    with pytest.raises(InvalidInputError):
-        ln.loss_rate(inst, prof, 0, -1)
+    t = ln.traffic_rates(inst, prof)
+    assert class_loss(inst, t[1], 0, 1, inst.phi) == pytest.approx(0.7142857142857143, rel=1e-12)
 
 
 def test_total_traffic_value():
@@ -81,7 +75,7 @@ def test_total_traffic_zero_when_everything_relayed_and_lost():
 
 
 def test_link_and_user_accounting_agree():
-    # Delivered-rate total equals the per-user view sum(phi - loss_rate).
+    # Delivered-rate total equals the per-user view sum(phi - class loss rate).
     rng = random.Random(7)
     for _ in range(1000):
         inst = random_instance(
@@ -91,11 +85,13 @@ def test_link_and_user_accounting_agree():
         )
         prof = random_profile(rng, inst)
         by_links = ln.total_traffic(inst, prof)
+        t = ln.traffic_rates(inst, prof)
         by_users = 0.0
         for i in range(inst.m):
             for r in range(inst.m):
                 if prof.flow[i][r]:
-                    by_users += prof.flow[i][r] * (inst.phi - ln.loss_rate(inst, prof, i, r))
+                    loss = class_loss(inst, t[r], i, r, inst.phi)
+                    by_users += prof.flow[i][r] * (inst.phi - loss)
         assert by_users == pytest.approx(by_links, rel=1e-9, abs=1e-12)
 
 
@@ -205,7 +201,7 @@ def test_iter_profiles_lexicographic_and_counted():
     # compositions) is longer than one block.
     for counts, total in (((2, 1), 6), ((1, 1, 100), 46_359)):
         inst = ln.Instance(counts, 1.0, 1.0, 0.5)
-        profs = list(ln.iter_profiles(inst))
+        profs = list(iter_profiles(inst))
         assert len(profs) == ln.count_profiles(inst) == total
         flats = [tuple(x for row in p.flow for x in row) for p in profs]
         assert flats == sorted(set(flats))
@@ -217,7 +213,7 @@ def test_iter_profiles_is_lazy_on_a_huge_profile_space():
     inst = ln.Instance((10**6,) * 3, 1.0, 1.0, 0.3)
     assert ln.count_profiles(inst) > 2**63
     start = time.perf_counter()
-    assert next(ln.iter_profiles(inst)).flow == ((0, 0, 10**6),) * 3
+    assert next(profile_blocks(inst))[..., 0].tolist() == [[0, 0, 10**6]] * 3
     assert time.perf_counter() - start < 0.5
     with pytest.raises(CapacityError):
         ln.enumerate_nash(inst)
@@ -260,18 +256,18 @@ def test_first_profile_memory_does_not_grow_as_m_cubed():
     # profiles at any m, the first of 30 one-user sources peaked at 121 MB.
     tracemalloc.start()
     try:
-        first = next(ln.iter_profiles(ln.Instance((1,) * 30, 1.0, 1.0, 0.5)))
+        first = next(profile_blocks(ln.Instance((1,) * 30, 1.0, 1.0, 0.5)))[..., 0].tolist()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert first.flow == tuple(tuple(int(j == 29) for j in range(30)) for _ in range(30))
+    assert first == [[int(j == 29) for j in range(30)] for _ in range(30)]
 
 
 def test_counts_beyond_int64_arithmetic_are_rejected():
     inst = ln.Instance((2**63, 1), 1.0, 1.0, 0.5)
     with pytest.raises(InvalidInputError, match="int64"):
-        next(ln.iter_profiles(inst))
+        next(profile_blocks(inst))
     # The characterization runs on Python ints, so it still decides here.
     verdict = ln.is_nash_characterization(inst, ln.RoutingProfile.all_direct(inst))
     assert verdict.is_ne == classify(inst, TwoSourceState(2**63, 1)).is_ne is False
@@ -298,10 +294,10 @@ def test_products_beyond_float_arithmetic_are_rejected(counts, phi, mu, product)
 
 
 def test_instance_json_round_trip():
-    inst = ln.Instance((3, 2), 1.0, 2.0, 0.25)
-    assert ln.instance_from_json(ln.instance_to_json(inst)) == inst
+    obj = {"m": 2, "n": [3, 2], "phi": 1.0, "mu": 2.0, "q": 0.25}
+    assert ln.instance_from_json(obj) == ln.Instance((3, 2), 1.0, 2.0, 0.25)
     prof = ln.RoutingProfile(((2, 1), (0, 2)))
-    assert ln.profile_from_json(ln.profile_to_json(prof)) == prof
+    assert ln.profile_from_json({"flow": [[2, 1], [0, 2]]}) == prof
 
 
 def test_instance_json_names_first_bad_field():

@@ -19,6 +19,8 @@ from lossnet.sweeps import (
     spec_from_json,
 )
 
+from conftest import instance_json
+
 
 def small_spec(**kw):
     base = ln.Instance((3, 2), 1.0, 1.0, 0.5)
@@ -221,7 +223,7 @@ def test_cli_check_ne_prints_plain_ints_and_floats(tmp_path, capsys):
     float64 would change the reprs the frozen tests compare."""
     inst = ln.Instance((4, 1, 2), 1.0, 1.0, 0.2)
     flow = [[0, 4, 0], [1, 0, 0], [0, 1, 1]]
-    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    inst_path = write_json(tmp_path / "i.json", instance_json(inst))
     prof_path = write_json(tmp_path / "p.json", {"flow": flow})
     rc = cli.main(["check-ne", "--instance", inst_path, "--profile", prof_path, "--oracle"])
     assert rc == 0
@@ -316,7 +318,7 @@ def test_cli_two_source(inst_file, capsys):
 
 def test_cli_two_source_existence_and_corollaries_match_the_library(tmp_path, capsys):
     inst = ln.Instance((5, 2), 1.0, 1.0, 0.0)
-    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    inst_path = write_json(tmp_path / "i.json", instance_json(inst))
     assert cli.main(["two-source", "--instance", inst_path, "existence"]) == 0
     state = ln.construct_existence_ne(inst)
     assert json.loads(capsys.readouterr().out) == {"u1": state.u1, "u2": state.u2}
@@ -326,7 +328,7 @@ def test_cli_two_source_existence_and_corollaries_match_the_library(tmp_path, ca
 
 def test_cli_enumerate_ne_to_stdout_matches_the_library(tmp_path, capsys):
     inst = ln.Instance((3, 2, 2), 1.0, 1.0, 0.2)
-    inst_path = write_json(tmp_path / "i.json", ln.instance_to_json(inst))
+    inst_path = write_json(tmp_path / "i.json", instance_json(inst))
     assert cli.main(["enumerate-ne", "--instance", inst_path]) == 0
     lines = capsys.readouterr().out.splitlines()
     nes = ln.enumerate_nash(inst)

@@ -19,7 +19,7 @@ from lossnet.errors import InvalidInputError, UndefinedThresholdError
 from lossnet.model import TOLERANCE
 from lossnet.two_source import MAX_COUNT, ROW_BLOCK, TwoSourceState, _is_ne, _threshold
 
-from conftest import cross_check_state
+from conftest import cross_check_state, instance_json
 
 
 def rand_two_source(rng, n_max=15):
@@ -450,7 +450,7 @@ def test_existence_construction_where_t1_rounds_past_region_3(tmp_path, capsys, 
     assert (state.u1, state.u2) == expected
     assert cross_check_state(inst, state)
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(ln.instance_to_json(inst)))
+    path.write_text(json.dumps(instance_json(inst)))
     assert cli.main(["two-source", "--instance", str(path), "existence"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"u1": expected[0], "u2": expected[1]}
 
