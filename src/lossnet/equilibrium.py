@@ -16,8 +16,8 @@ is an equilibrium iff
 Indifference counts as equilibrium, by the tie policy of `model`.
 
 (i) and (ii) are evaluated by `model._conditions`, their only copy.  The
-oracle and the best-response dynamics stay scalar and independent of it;
-they share the move scan `_moves` and the comparison `model.prefers`.  The
+oracle and the best-response dynamics stay scalar and independent of it; they
+share the move rates `_moved_rates` and the comparison `model.prefers`.  The
 game has the ordinal potential Phi = prod_l (T_l + mu) (Monderer and Shapley,
 "Potential Games", 1996): a one-user move lowers (ties) the mover's loss
 exactly when it raises (keeps) Phi, so improving moves never revisit a profile.
@@ -89,17 +89,16 @@ def is_nash_characterization(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     return NEVerdict(not viols, load.index(min(load)), viols)
 
 
-def _moves(inst: Instance, flow, i: int, r: int) -> list:
-    """(r2, link r2's rate once a class-(i, r) user moves to it) per r2 != r, by `link_rate`."""
+def _moved_rates(inst: Instance, flow, i: int) -> list:
+    """Link r2's rate with one more source-i user on it, for every r2, by `link_rate`."""
     rows = list(flow)
     row = rows[i] = list(flow[i])
-    moves = []
+    rates = []
     for r2 in range(inst.m):
-        if r2 != r:
-            row[r2] += 1
-            moves.append((r2, link_rate(inst, rows, r2)))
-            row[r2] -= 1
-    return moves
+        row[r2] += 1
+        rates.append(link_rate(inst, rows, r2))
+        row[r2] -= 1
+    return rates
 
 
 def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
@@ -110,11 +109,12 @@ def is_nash_deviation_oracle(inst: Instance, prof: RoutingProfile) -> NEVerdict:
     phi, t = inst.phi, link_rates(inst, prof.flow)
     viols: list[Violation] = []
     for i in range(inst.m):
+        moved = _moved_rates(inst, prof.flow, i)
         for r in range(inst.m):
             if prof.flow[i][r] < 1:
                 continue
-            for r2, t2 in _moves(inst, prof.flow, i, r):
-                if prefers(inst, i, r2, t2, r, t[r]):
+            for r2, t2 in enumerate(moved):
+                if r2 != r and prefers(inst, i, r2, t2, r, t[r]):
                     kind = "(i)" if r == i else "(ii)-DP" if r2 == i else "(ii)-IP"
                     viols.append(Violation(f"condition-{kind}", i, r2 if r == i else r,
                                            class_loss(inst, t[r], i, r, phi),
@@ -126,18 +126,18 @@ class NashProfiles(_LazyList):
     """The equilibria of `enumerate_nash`, held as their flow columns.
 
     A sequence of (RoutingProfile, TrafficSummary) pairs in lexicographic
-    order.  It holds the k equilibria as one (m, m, k) int64 array and their
-    k delivered rates, each with the bits `summarize` gives its profile.
-    `len` and `worst` read the arrays; iterating, indexing, `==` against a
-    list and `repr` build the list of pairs once, on first use
-    (`model._LazyList`).
+    order.  It holds the k equilibria as `cols`, one (m, m, k) int64 array,
+    and their k delivered rates as `traffic`, each with the bits `summarize`
+    gives its profile.  `len` and `worst` read the arrays; iterating,
+    indexing, `==` against a list and `repr` build the list of pairs once,
+    on first use (`model._LazyList`).
     """
 
     def __init__(self, inst: Instance, cols: np.ndarray, traffic: np.ndarray) -> None:
-        self._inst, self._cols, self._traffic = inst, cols, traffic
+        self._inst, self.cols, self.traffic = inst, cols, traffic
 
     def __len__(self) -> int:
-        return self._cols.shape[2]
+        return self.cols.shape[2]
 
     def _pair(self, flow) -> tuple[RoutingProfile, TrafficSummary]:
         prof = RoutingProfile(flow)
@@ -147,10 +147,10 @@ class NashProfiles(_LazyList):
         """The pair of the first equilibrium of least traffic; None when there is none."""
         if not len(self):
             return None
-        return self._pair(self._cols[..., int(np.argmin(self._traffic))].tolist())
+        return self._pair(self.cols[..., int(np.argmin(self.traffic))].tolist())
 
     def _build(self) -> list[tuple[RoutingProfile, TrafficSummary]]:
-        return [self._pair(flow) for flow in self._cols.transpose(2, 0, 1).tolist()]
+        return [self._pair(flow) for flow in self.cols.transpose(2, 0, 1).tolist()]
 
 
 def enumerate_nash(inst: Instance, cap: int = ENUMERATION_CAP) -> NashProfiles:
@@ -192,10 +192,10 @@ def best_response_dynamics(
     run ends budget-exhausted.
 
     The run walks one flow of lists and builds its one profile when it
-    stops.  A move changes links r and r2 only: r2 takes the rate `_moves`
-    gave it, which reads the same column, and r is re-rated by `link_rate`,
-    so every rate has the bits of a full recomputation.  `max_rounds` must
-    be an int of at least 1 and `seed` a non-negative int, bools rejected.
+    stops.  A move changes links r and r2 only: r2 keeps its `_moved_rates`
+    rate, which reads the same column, and r is re-rated by `link_rate`, so
+    every rate has the bits of a full recomputation.  `max_rounds` must be
+    an int of at least 1 and `seed` a non-negative int, bools rejected.
     """
     _as_int(max_rounds, "max_rounds", 1)
     _as_int(seed, "seed", 0)
@@ -208,8 +208,8 @@ def best_response_dynamics(
         moved = False
         for i, r in occupied:
             best = None
-            for move in _moves(inst, flow, i, r):
-                if best is None or prefers(inst, i, *move, *best):
+            for move in enumerate(_moved_rates(inst, flow, i)):
+                if move[0] != r and (best is None or prefers(inst, i, *move, *best)):
                     best = move
             if best is not None and prefers(inst, i, *best, r, t[r]):
                 r2 = best[0]

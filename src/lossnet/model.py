@@ -352,7 +352,7 @@ def count_profiles(inst: Instance) -> int:
     return total
 
 
-#: Most profiles in one block yielded by `profile_blocks` (at m <= 4; fewer above).
+#: `profile_blocks` holds a block to at most 16 * BLOCK entries (one profile when m > 128).
 BLOCK = 1024
 
 
@@ -373,8 +373,8 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     `per_block` consecutive heads (the leading m - 1 rows, regrouped from
     their own blocks) with the last row: all of it when it is short, one
     chunk of it when it is longer than the width.  Each of the m levels of
-    the row recursion holds one block, so the width, k's bound, is
-    max(1, min(BLOCK, 16 * BLOCK // m**2)): at most 16 * BLOCK entries a block.
+    the row recursion holds one block; the width, k's bound, is
+    max(1, 16 * BLOCK // m**2): at most 16 * BLOCK entries to m = 128.
     """
     if inst.n >= 2**62:
         raise InvalidInputError(f"{inst.n} users overflow the int64 flow arithmetic")
@@ -382,7 +382,7 @@ def profile_blocks(inst: Instance, cap: int | None = None) -> Iterator[np.ndarra
     total = count_profiles(inst)
     if cap is not None and total > cap:
         raise CapacityError(f"instance has {total} profiles, above the enumeration cap {cap}")
-    return _blocks(inst.user_counts, inst.m, max(1, min(BLOCK, 16 * BLOCK // inst.m**2)))
+    return _blocks(inst.user_counts, inst.m, max(1, 16 * BLOCK // inst.m**2))
 
 
 def _blocks(counts: tuple[int, ...], m: int, width: int) -> Iterator[np.ndarray]:

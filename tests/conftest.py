@@ -1,15 +1,18 @@
 """Shared helpers for the test suite: seeded random instances and profiles,
-every profile one at a time, one-user moves, the exact-rational traffic of a
-flow, the equilibrium-traffic floor, an instance as JSON, and the three-way
-agreement check on one two-source state."""
+every profile one at a time, one-user moves, the definitional deviation
+oracle, the exact-rational traffic of a flow, the equilibrium-traffic floor,
+an instance as JSON, and the three-way agreement check on one two-source
+state."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import lossnet as ln
-from lossnet.model import profile_blocks
+from lossnet.equilibrium import NEVerdict, Violation
+from lossnet.model import class_loss, prefers, profile_blocks
 from lossnet.two_source import TwoSourceState, classify
 
 
@@ -49,6 +52,25 @@ def moved(prof: ln.RoutingProfile, i: int, r: int, r2: int) -> ln.RoutingProfile
     rows[i][r] -= 1
     rows[i][r2] += 1
     return ln.RoutingProfile(rows)
+
+
+def reference_oracle(inst: ln.Instance, prof: ln.RoutingProfile) -> NEVerdict:
+    """The deviation oracle by its definition: every one-user move builds its
+    profile, whose link rates come from `traffic_rates`, and is compared with
+    the current route by `prefers`; violations in (source, route, target) order."""
+    t, m = ln.traffic_rates(inst, prof), inst.m
+    load = [prof.u()[i] + prof.v()[i] * inst.qbar for i in range(m)]
+    viols = []
+    for i, r, r2 in itertools.product(range(m), repeat=3):
+        if prof.flow[i][r] < 1 or r2 == r:
+            continue
+        t2 = ln.traffic_rates(inst, moved(prof, i, r, r2))[r2]
+        if prefers(inst, i, r2, t2, r, t[r]):
+            kind = "(i)" if r == i else "(ii)-DP" if r2 == i else "(ii)-IP"
+            viols.append(Violation(f"condition-{kind}", i, r2 if r == i else r,
+                                   class_loss(inst, t[r], i, r, inst.phi),
+                                   class_loss(inst, t2, i, r2, inst.phi)))
+    return NEVerdict(not viols, load.index(min(load)), tuple(viols))
 
 
 def exact_traffic(inst: ln.Instance, flow) -> Fraction:

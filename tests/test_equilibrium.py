@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
-from lossnet.equilibrium import _conditions, _moves
+from lossnet import cli
+from lossnet.equilibrium import _conditions, _moved_rates
 from lossnet.errors import CapacityError, InvalidInputError
 from lossnet.model import delivered, link_rates, prefers, profile_blocks
 
 from conftest import (
-    count_shapes, iter_profiles, moved, ne_traffic_floor, random_instance, random_profile,
+    count_shapes, instance_json, iter_profiles, moved, ne_traffic_floor, random_instance,
+    random_profile, reference_oracle,
 )
 
 
@@ -136,6 +139,25 @@ def test_enumerate_equals_oracle_filter_of_all_profiles():
         assert [p for p, _ in ln.enumerate_nash(inst)] == want, inst
 
 
+def pair_built_text(nes) -> str:
+    """`lossnet enumerate-ne`'s CSV as built from the (profile, summary) pairs."""
+    lines = ["flow,u,v,tr"]
+    for prof, summary in nes:
+        flat = " ".join(str(x) for row in prof.flow for x in row)
+        u = " ".join(str(x) for x in prof.u())
+        v = " ".join(str(x) for x in prof.v())
+        lines.append(f"{flat},{u},{v},{summary.total_traffic!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_enumerate_ne_cli_prints_the_pair_built_text(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    for inst in exhaustive_instances():
+        path.write_text(json.dumps(instance_json(inst)), encoding="utf-8")
+        assert cli.main(["enumerate-ne", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == pair_built_text(ln.enumerate_nash(inst)), inst
+
+
 def assert_count_and_worst_equal_the_expanded_list(inst):
     """`len` and `worst()`, read before the list exists, equal the count and the
     first least-traffic pair of the expanded list, whose traffic the columns'
@@ -144,7 +166,7 @@ def assert_count_and_worst_equal_the_expanded_list(inst):
     count, worst = len(nes), nes.worst()
     pairs = list(nes)
     assert count == len(pairs), inst
-    assert [s.total_traffic for _, s in pairs] == nes._traffic.tolist(), inst
+    assert [s.total_traffic for _, s in pairs] == nes.traffic.tolist(), inst
     if pairs:
         least = min(s.total_traffic for _, s in pairs)
         assert worst == next(pair for pair in pairs if pair[1].total_traffic == least), inst
@@ -335,7 +357,9 @@ def test_every_one_user_move_is_ordered_by_the_potential(data):
         if flow[i][r] < 1:
             continue
         before, phi_before = exact_loss_and_potential(inst, prof.flow, i, r)
-        for r2, t2 in _moves(inst, prof.flow, i, r):
+        for r2, t2 in enumerate(_moved_rates(inst, prof.flow, i)):
+            if r2 == r:
+                continue
             after, phi_after = exact_loss_and_potential(inst, moved(prof, i, r, r2).flow, i, r2)
             assert (after < before) == (phi_after > phi_before), (inst, flow, i, r, r2)
             assert (after == before) == (phi_after == phi_before), (inst, flow, i, r, r2)
@@ -645,6 +669,8 @@ def test_scalar_and_block_conditions_flag_the_same_violations(q):
 
 
 def test_move_scan_rates_are_link_rate_bits():
+    """Link r2's moved rate is the bits `traffic_rates` gives link r2 with one
+    more source-i user on it, in the instance with one more user at source i."""
     rng = random.Random(10)
     for _ in range(1500):
         inst = random_instance(rng, m_choices=(1, 2, 3, 4, 5), n_max=6,
@@ -652,10 +678,26 @@ def test_move_scan_rates_are_link_rate_bits():
                                q_choices=(0.0, 0.3, 1.0, rng.random()),
                                phi=rng.choice((0.5, 1.0, 1.7)))
         prof = random_profile(rng, inst)
-        for i, r in itertools.product(range(inst.m), repeat=2):
-            if prof.flow[i][r] < 1:
-                continue
-            moves = _moves(inst, prof.flow, i, r)
-            assert [r2 for r2, _ in moves] == [r2 for r2 in range(inst.m) if r2 != r]
-            for r2, rate in moves:
-                assert rate == ln.traffic_rates(inst, moved(prof, i, r, r2))[r2], (inst, prof, i, r)
+        for i in range(inst.m):
+            rates = _moved_rates(inst, prof.flow, i)
+            assert len(rates) == inst.m
+            counts = [n + (k == i) for k, n in enumerate(inst.user_counts)]
+            grown = ln.Instance(counts, inst.phi, inst.mu, inst.q)
+            for r2, rate in enumerate(rates):
+                flow = [list(row) for row in prof.flow]
+                flow[i][r2] += 1
+                assert rate == ln.traffic_rates(grown, ln.RoutingProfile(flow))[r2], (inst, prof)
+
+
+def test_deviation_oracle_equals_its_definition():
+    """The oracle's verdict, violations and their values included, is the one
+    the definitional reference builds from every moved profile."""
+    rng = random.Random(30)
+    for _ in range(1200):
+        inst = random_instance(rng, m_choices=(1, 2, 3, 4, 5), n_max=5,
+                               mu_choices=(0.3, 1.0, 2.5, 7.0),
+                               q_choices=(0.0, 0.3, 1.0, rng.random()),
+                               phi=rng.choice((0.5, 1.0, 1.7)))
+        for prof in (ln.RoutingProfile.all_direct(inst), random_profile(rng, inst)):
+            assert ln.is_nash_deviation_oracle(inst, prof) == reference_oracle(inst, prof), (
+                inst, prof)

@@ -9,7 +9,7 @@ import pytest
 
 import lossnet as ln
 from lossnet.errors import CapacityError, InvalidInputError
-from lossnet.model import class_loss, delivered, link_rates, profile_blocks
+from lossnet.model import BLOCK, _blocks, class_loss, delivered, link_rates, profile_blocks
 from lossnet.two_source import TwoSourceState, classify
 
 from conftest import iter_profiles, moved, random_instance, random_profile
@@ -221,10 +221,10 @@ def test_iter_profiles_is_lazy_on_a_huge_profile_space():
         ln.brute_force_optimal(inst)
 
 
-# sha256 of each profile_blocks sequence (every block's dtype, shape and
+# sha256 of each block sequence of width 1024 (every block's dtype, shape and
 # bytes, in order), frozen from the implementation that walked the heads one
-# composition at a time, with the block count.  The shapes cover m = 1, 2 and
-# 4, last rows longer than a block (one head per block), head groups that span
+# composition at a time, with the block count.  The shapes cover m = 1 to 4,
+# last rows longer than a block (one head per block), head groups that span
 # several leading compositions, and leading rows longer than a block.
 FROZEN_BLOCKS = [
     ((7,), 1, "faef0c50a78eaa636a7b72b2011e54066514a847b17adf9d773018efbe3f08ca"),
@@ -243,7 +243,7 @@ FROZEN_BLOCKS = [
 @pytest.mark.parametrize("counts, n_blocks, digest", FROZEN_BLOCKS)
 def test_profile_blocks_frozen_bytes(counts, n_blocks, digest):
     h, seen = hashlib.sha256(), 0
-    for blk in profile_blocks(ln.Instance(counts, 1.0, 1.0, 0.5)):
+    for blk in _blocks(counts, len(counts), 1024):
         assert blk.flags.c_contiguous
         h.update(f"{blk.dtype.str}{blk.shape}".encode())
         h.update(blk.tobytes())
@@ -251,9 +251,26 @@ def test_profile_blocks_frozen_bytes(counts, n_blocks, digest):
     assert (seen, h.hexdigest()) == (n_blocks, digest)
 
 
+@pytest.mark.parametrize("counts", [(9,), (1500, 2), (6, 5, 5), (1, 1, 100), (3, 2, 2, 2),
+                                    (2, 2, 1, 1, 1), (1,) * 6])
+def test_profile_blocks_fill_the_entry_bound_in_the_same_order(counts):
+    """Any width gives the same profiles in the same order: `profile_blocks`'
+    blocks, each C-contiguous and at most max(1, 16 * BLOCK // m**2) wide,
+    join into the sequence of the frozen width 1024."""
+    m = len(counts)
+    blocks = list(profile_blocks(ln.Instance(counts, 1.0, 1.0, 0.5)))
+    for blk in blocks:
+        assert blk.dtype == np.int64 and blk.flags.c_contiguous
+        assert 1 <= blk.shape[2] <= max(1, 16 * BLOCK // m**2)
+    want = np.concatenate(list(_blocks(counts, m, 1024)), axis=2)
+    assert np.array_equal(np.concatenate(blocks, axis=2), want)
+
+
 def test_first_profile_memory_does_not_grow_as_m_cubed():
     # Every level of the row recursion holds one block; with blocks of 1024
     # profiles at any m, the first of 30 one-user sources peaked at 121 MB.
+    # Blocks of at most 16 * BLOCK entries (18 profiles of 900 entries here)
+    # keep it under 8 MB.
     tracemalloc.start()
     try:
         first = next(profile_blocks(ln.Instance((1,) * 30, 1.0, 1.0, 0.5)))[..., 0].tolist()
