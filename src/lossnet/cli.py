@@ -124,11 +124,12 @@ def _cmd_enumerate_ne(args) -> int:
     _check_writable(args.out)
     inst = _load_instance(args.instance)
     nes = equilibrium.enumerate_nash(inst, cap=args.cap)
-    lines = ["flow,u,v,tr"]  # read from the columns, without building the pairs
-    for flow, tr in zip(nes.cols.transpose(2, 0, 1).tolist(), nes.traffic.tolist()):
-        u = [flow[i][i] for i in range(inst.m)]
-        v = [sum(col) - u[j] for j, col in enumerate(zip(*flow))]
-        lines.append(",".join(" ".join(map(str, c)) for c in (sum(flow, []), u, v)) + f",{tr!r}")
+    lines = ["flow,u,v,tr"]
+    for prof, summary in nes:
+        flat = " ".join(str(x) for row in prof.flow for x in row)
+        u = " ".join(str(x) for x in prof.u())
+        v = " ".join(str(x) for x in prof.v())
+        lines.append(f"{flat},{u},{v},{summary.total_traffic!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with _writing(args.out):

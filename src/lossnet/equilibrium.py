@@ -126,18 +126,18 @@ class NashProfiles(_LazyList):
     """The equilibria of `enumerate_nash`, held as their flow columns.
 
     A sequence of (RoutingProfile, TrafficSummary) pairs in lexicographic
-    order.  It holds the k equilibria as `cols`, one (m, m, k) int64 array,
-    and their k delivered rates as `traffic`, each with the bits `summarize`
-    gives its profile.  `len` and `worst` read the arrays; iterating,
-    indexing, `==` against a list and `repr` build the list of pairs once,
-    on first use (`model._LazyList`).
+    order.  It holds the k equilibria as one (m, m, k) int64 array and their
+    k delivered rates, each with the bits `summarize` gives its profile.
+    `len` and `worst` read the arrays; iterating, indexing, `==` against a
+    list and `repr` build the list of pairs once, on first use
+    (`model._LazyList`).
     """
 
     def __init__(self, inst: Instance, cols: np.ndarray, traffic: np.ndarray) -> None:
-        self._inst, self.cols, self.traffic = inst, cols, traffic
+        self._inst, self._cols, self._traffic = inst, cols, traffic
 
     def __len__(self) -> int:
-        return self.cols.shape[2]
+        return self._cols.shape[2]
 
     def _pair(self, flow) -> tuple[RoutingProfile, TrafficSummary]:
         prof = RoutingProfile(flow)
@@ -147,10 +147,10 @@ class NashProfiles(_LazyList):
         """The pair of the first equilibrium of least traffic; None when there is none."""
         if not len(self):
             return None
-        return self._pair(self.cols[..., int(np.argmin(self.traffic))].tolist())
+        return self._pair(self._cols[..., int(np.argmin(self._traffic))].tolist())
 
     def _build(self) -> list[tuple[RoutingProfile, TrafficSummary]]:
-        return [self._pair(flow) for flow in self.cols.transpose(2, 0, 1).tolist()]
+        return [self._pair(flow) for flow in self._cols.transpose(2, 0, 1).tolist()]
 
 
 def enumerate_nash(inst: Instance, cap: int = ENUMERATION_CAP) -> NashProfiles:

@@ -390,14 +390,14 @@ def _blocks(counts: tuple[int, ...], m: int, width: int) -> Iterator[np.ndarray]
 
     k <= `width`.  The heads are the blocks of counts[:-1] (one empty head when
     no row is left).  The last row's size * m entries are built once when at
-    most 192 * width, and again for each group of heads otherwise.
+    most 192 * min(width, BLOCK), and again for each group of heads otherwise.
     """
     if not counts:
         yield np.empty((0, m, 1), dtype=np.int64)
         return
     size = math.comb(counts[-1] + m - 1, m - 1)
     per_block = max(1, width // size)
-    tails = list(_row_chunks(counts[-1], m, width)) if size * m <= 192 * width else None
+    tails = list(_row_chunks(counts[-1], m, width)) if size * m <= 192 * min(width, BLOCK) else None
     for lead in _groups(_blocks(counts[:-1], m, width), per_block):
         for tail in tails or _row_chunks(counts[-1], m, width):
             yield _product(lead, tail[None])

@@ -1,7 +1,6 @@
 import collections
 import hashlib
 import itertools
-import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
-from lossnet import cli
 from lossnet.equilibrium import _conditions, _moved_rates
 from lossnet.errors import CapacityError, InvalidInputError
 from lossnet.model import delivered, link_rates, prefers, profile_blocks
 
 from conftest import (
-    count_shapes, instance_json, iter_profiles, moved, ne_traffic_floor, random_instance,
-    random_profile, reference_oracle,
+    count_shapes, iter_profiles, moved, ne_traffic_floor, random_instance, random_profile,
+    reference_oracle,
 )
 
 
@@ -139,25 +137,6 @@ def test_enumerate_equals_oracle_filter_of_all_profiles():
         assert [p for p, _ in ln.enumerate_nash(inst)] == want, inst
 
 
-def pair_built_text(nes) -> str:
-    """`lossnet enumerate-ne`'s CSV as built from the (profile, summary) pairs."""
-    lines = ["flow,u,v,tr"]
-    for prof, summary in nes:
-        flat = " ".join(str(x) for row in prof.flow for x in row)
-        u = " ".join(str(x) for x in prof.u())
-        v = " ".join(str(x) for x in prof.v())
-        lines.append(f"{flat},{u},{v},{summary.total_traffic!r}")
-    return "\n".join(lines) + "\n"
-
-
-def test_enumerate_ne_cli_prints_the_pair_built_text(tmp_path, capsys):
-    path = tmp_path / "i.json"
-    for inst in exhaustive_instances():
-        path.write_text(json.dumps(instance_json(inst)), encoding="utf-8")
-        assert cli.main(["enumerate-ne", "--instance", str(path)]) == 0
-        assert capsys.readouterr().out == pair_built_text(ln.enumerate_nash(inst)), inst
-
-
 def assert_count_and_worst_equal_the_expanded_list(inst):
     """`len` and `worst()`, read before the list exists, equal the count and the
     first least-traffic pair of the expanded list, whose traffic the columns'
@@ -166,7 +145,7 @@ def assert_count_and_worst_equal_the_expanded_list(inst):
     count, worst = len(nes), nes.worst()
     pairs = list(nes)
     assert count == len(pairs), inst
-    assert [s.total_traffic for _, s in pairs] == nes.traffic.tolist(), inst
+    assert [s.total_traffic for _, s in pairs] == nes._traffic.tolist(), inst
     if pairs:
         least = min(s.total_traffic for _, s in pairs)
         assert worst == next(pair for pair in pairs if pair[1].total_traffic == least), inst
