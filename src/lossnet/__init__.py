@@ -11,7 +11,6 @@ from .errors import (
     InternalCheckError,
     InvalidInputError,
     LossNetError,
-    UndefinedThresholdError,
 )
 from .model import (
     TOLERANCE,
@@ -53,8 +52,6 @@ from .two_source import (
     classify,
     construct_existence_ne,
     scan_nash,
-    t1,
-    t2,
 )
 from .packet_sim import (
     SimConfig,

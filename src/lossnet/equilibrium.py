@@ -47,7 +47,7 @@ from .model import (
     summarize,
 )
 from .optimizer import solve_optimal
-from .two_source import _state_flow, check_scan_size, scan_nash
+from .two_source import check_scan_size, scan_nash
 
 #: Most profiles `enumerate_nash` and `poa_report` enumerate unless told otherwise.
 ENUMERATION_CAP = 1_000_000
@@ -128,8 +128,8 @@ class NashProfiles(_LazyList):
     A sequence of (RoutingProfile, TrafficSummary) pairs in lexicographic
     order.  It holds the k equilibria as one (m, m, k) int64 array and their
     k delivered rates, each with the bits `summarize` gives its profile.
-    `len` and `worst` read the arrays; iterating, indexing, `==` against a
-    list and `repr` build the list of pairs once, on first use
+    `len` and `worst_traffic` read the arrays; iterating, indexing, `==`
+    against a list and `repr` build the list of pairs once, on first use
     (`model._LazyList`).
     """
 
@@ -143,11 +143,11 @@ class NashProfiles(_LazyList):
         prof = RoutingProfile(flow)
         return prof, summarize(self._inst, prof)
 
-    def worst(self) -> tuple[RoutingProfile, TrafficSummary] | None:
-        """The pair of the first equilibrium of least traffic; None when there is none."""
+    def worst_traffic(self) -> float | None:
+        """The least traffic, from the pair of its first equilibrium; None when there is none."""
         if not len(self):
             return None
-        return self._pair(self._cols[..., int(np.argmin(self._traffic))].tolist())
+        return self._pair(self._cols[..., int(np.argmin(self._traffic))].tolist())[1].total_traffic
 
     def _build(self) -> list[tuple[RoutingProfile, TrafficSummary]]:
         return [self._pair(flow) for flow in self._cols.transpose(2, 0, 1).tolist()]
@@ -160,7 +160,7 @@ def enumerate_nash(inst: Instance, cap: int = ENUMERATION_CAP) -> NashProfiles:
     is decided here and keeps its equilibrium columns; their traffic is one
     `delivered(link_rates(...))` over all of them.  The profiles and
     summaries are built only when the result is iterated, indexed, compared
-    or printed; `NashProfiles.worst` builds one.
+    or printed; `NashProfiles.worst_traffic` builds one.
     """
     cols = []
     for blk in profile_blocks(inst, cap):
@@ -254,31 +254,18 @@ class PoAReport:
 def poa_report(inst: Instance, cap: int = ENUMERATION_CAP) -> PoAReport:
     """Exact price of anarchy plus the analytic bound.
 
-    Two-source instances read `scan_nash`'s intervals without building its
-    states: the count is their total width, and the worst equilibrium is the
-    least traffic over the two ends of each interval, evaluated once over
-    arrays of counts.  Along a row, T1 and T2 are affine in u2 and delivered
-    traffic is concave in each, so its minimum over the interval sits at an
-    end.  Otherwise the equilibrium set is enumerated exhaustively (subject
-    to `cap`), and the count and the worst equilibrium are read from
-    `enumerate_nash`'s columns, building one profile and one summary.  An
-    empty equilibrium set is reported, not raised.  A negative `cap`, and two
-    sources beyond the scan's size limit, are rejected before any work, even
-    where no profile is enumerated.
+    The equilibrium set is `scan_nash`'s for two sources, and otherwise
+    enumerated exhaustively (subject to `cap`); the count and the worst
+    equilibrium's traffic are read from it by `len` and `worst_traffic`,
+    without listing its states.  An empty equilibrium set is reported, not
+    raised.  A negative `cap`, and two sources beyond the scan's size limit,
+    are rejected before any work, even where no profile is enumerated.
     """
     check_cap(cap)
     check_scan_size(inst)
     tr_opt = solve_optimal(inst).tr
-    if inst.m == 2:
-        states = scan_nash(inst)
-        trs = delivered(inst, link_rates(inst, _state_flow(inst, *states.ends())))
-        tr_worst = float(trs.min()) if trs.size else None
-        ne_count = len(states)
-    else:
-        nes = enumerate_nash(inst, cap=cap)
-        worst = nes.worst()
-        tr_worst = worst[1].total_traffic if worst else None
-        ne_count = len(nes)
+    nes = scan_nash(inst) if inst.m == 2 else enumerate_nash(inst, cap=cap)
+    tr_worst = nes.worst_traffic()
     poa_exact = tr_opt / tr_worst if tr_worst else None
     return PoAReport(
         tr_opt=tr_opt,
@@ -286,5 +273,5 @@ def poa_report(inst: Instance, cap: int = ENUMERATION_CAP) -> PoAReport:
         poa_exact=poa_exact,
         z=mixing_level(inst),
         poa_bound=poa_bound(inst),
-        ne_count=ne_count,
+        ne_count=len(nes),
     )

@@ -13,9 +13,5 @@ class CapacityError(LossNetError, RuntimeError):
     """An exhaustive enumeration would exceed its configured cap."""
 
 
-class UndefinedThresholdError(LossNetError, ZeroDivisionError):
-    """A closed-form threshold is undefined for the given parameters (q = 1)."""
-
-
 class InternalCheckError(LossNetError, RuntimeError):
     """A cross-check that must never fail did fail.  Always a bug."""

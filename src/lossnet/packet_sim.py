@@ -46,6 +46,8 @@ from .model import (Instance, RoutingProfile, _as_int, _as_real, class_loss, lin
 WINDOW = 1 << 16
 #: Standard errors an observed loss fraction may stray from the model's.
 TOLERANCE_SIGMAS = 3.0
+#: The largest mean numpy's Poisson draw takes.
+POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,14 @@ class SimConfig:
         self.profile.validate_for(self.instance)
         horizon = _as_real(self.horizon, "horizon", 0, math.inf, exclusive=True)
         object.__setattr__(self, "horizon", horizon)
-        if not math.isfinite(self.horizon * self.instance.n * self.instance.phi):
-            raise InvalidInputError(f"horizon {self.horizon!r} overflows the packet count")
+        # Every packet a run draws is counted in one of these Poisson means.
+        inst, flow = self.instance, self.profile.flow
+        means = [t * horizon for t in link_rates(inst, flow)]
+        means += [c * inst.phi * inst.q * horizon
+                  for i, row in enumerate(flow) for r, c in enumerate(row) if r != i]
+        if not all(x <= POISSON_MAX for x in means):
+            raise InvalidInputError(f"horizon {horizon!r} puts a Poisson mean past numpy's "
+                                    f"{POISSON_MAX!r}")
         _as_int(self.seed, "seed", 0)
 
 

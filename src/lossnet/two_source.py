@@ -15,7 +15,8 @@ non-equilibrium states, and the (u1, u2) grid splits into five regions:
     3:  0 < u1 < n1, u2 = n2       NE iff t1(n2) - 1 <= u1 <= t1(n2)
     4:  u1 = n1, u2 = n2           NE iff n1*qb <= q*mu/phi + n2 + qb
 
-The thresholds divide by 2*qb, so at q = 1 they are undefined; there the
+`classify` reports t1 and t2 at the state it decides.  They divide by
+2*qb, so at q = 1 they are undefined and reported as None; there the
 all-direct state is the unique equilibrium (any relayed packet is lost with
 certainty, so rerouting to the direct path always strictly helps).
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalCheckError, InvalidInputError, UndefinedThresholdError
+from .errors import InternalCheckError, InvalidInputError
 from .model import (
     TOLERANCE,
     Instance,
@@ -49,6 +50,8 @@ from .model import (
     _as_int,
     _conditions,
     _LazyList,
+    delivered,
+    link_rates,
     total_traffic,
 )
 from .optimizer import solve_optimal
@@ -106,27 +109,6 @@ def _threshold(inst: Instance, n_self: int, n_other: int, u_other):
     return (qm + u_other * (1.0 + qb * qb) + (n_self + 1) * qb - n_other * qb * qb) / (2.0 * qb)
 
 
-def _checked_threshold(inst: Instance, name: str, self_idx: int, u_other: int) -> float:
-    _check_two_sources(inst)
-    if inst.user_counts[0] < inst.user_counts[1]:
-        raise InvalidInputError("threshold formulas assume user_counts[0] >= user_counts[1]; "
-                                "relabel the sources first")
-    if inst.q == 1.0:
-        raise UndefinedThresholdError(f"{name} is undefined at q = 1 (divides by 2*(1-q))")
-    counts = inst.user_counts
-    return _threshold(inst, counts[self_idx], counts[1 - self_idx], u_other)
-
-
-def t1(inst: Instance, u2: int) -> float:
-    """Largest u1 (up to the -1 slack) tolerated at equilibrium, given u2."""
-    return _checked_threshold(inst, "t1", 0, u2)
-
-
-def t2(inst: Instance, u1: int) -> float:
-    """Mirror threshold for the smaller source, given u1."""
-    return _checked_threshold(inst, "t2", 1, u1)
-
-
 def _is_ne(canon: Instance, a1, a2):
     """Conditions (i) and (ii) of `model._conditions` at the state (a1, a2) of a sorted instance.
 
@@ -158,7 +140,8 @@ def classify(inst: Instance, state: TwoSourceState) -> TwoSourceVerdict:
     n1, n2 = canon.user_counts
     a1, a2 = u[perm[0]], u[perm[1]]
     is_ne = _is_ne(canon, a1, a2)
-    th = (None, None) if canon.q == 1.0 else (t1(canon, a2), t2(canon, a1))
+    th = (None, None) if canon.q == 1.0 else (_threshold(canon, n1, n2, a2),
+                                              _threshold(canon, n2, n1, a1))
     return TwoSourceVerdict(_case_id(n1, n2, a1, a2), is_ne, th[perm[0]], th[perm[1]])
 
 
@@ -212,9 +195,9 @@ class NashIntervals(_LazyList):
     [lo[k], hi[k]], none when lo[k] > hi[k]: the corner (0, 0), one interval
     per interior row u1, then each cell of the column u2 = n2.  It is a
     sequence of `TwoSourceState`s sorted by (u1, u2) in the given instance's
-    indexing.  `len` and `ends` read the intervals; iterating, indexing,
-    `==` against a list and `repr` build that list once, on first use, and
-    then behave as it does.
+    indexing.  `len` and `worst_traffic` read the intervals; iterating,
+    indexing, `==` against a list and `repr` build that list once, on first
+    use, and then behave as it does.
     """
 
     def __init__(self, canon: Instance, perm, rows, lo, hi) -> None:
@@ -223,12 +206,21 @@ class NashIntervals(_LazyList):
     def __len__(self) -> int:
         return int(np.maximum(self._hi - self._lo + 1, 0).sum())
 
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u1, u2) int64 arrays, in the given instance's indexing, of each interval's two ends."""
+    def worst_traffic(self) -> float | None:
+        """The least delivered traffic over the states; None when there are none.
+
+        Along a row, T1 and T2 are affine in u2 and delivered traffic is
+        concave in each, so its minimum over an interval sits at an end: the
+        two ends of every interval are evaluated once, over arrays of counts,
+        in the sorted instance, where each state has its given order's bits.
+        """
         keep = self._lo <= self._hi
-        rows = self._rows[keep]
-        a = np.concatenate((rows, rows)), np.concatenate((self._lo[keep], self._hi[keep]))
-        return a[self._perm[0]], a[self._perm[1]]
+        if not keep.any():
+            return None
+        rows, canon = self._rows[keep], self._canon
+        flow = _state_flow(canon, np.concatenate((rows, rows)),
+                           np.concatenate((self._lo[keep], self._hi[keep])))
+        return float(delivered(canon, link_rates(canon, flow)).min())
 
     def _build(self) -> list[TwoSourceState]:
         width = np.maximum(self._hi - self._lo + 1, 0)
@@ -300,7 +292,7 @@ def construct_existence_ne(inst: Instance) -> TwoSourceState:
     if _is_ne(canon, n1, n2):
         a = (n1, n2)
     else:
-        top = math.floor(t1(canon, n2))
+        top = math.floor(_threshold(canon, n1, n2, n2))
         cells = [min(max(top + d, 1), n1 - 1) for d in (0, -1, 1, -2, 2)]
         a = (next((a1 for a1 in cells if _is_ne(canon, a1, n2)), cells[0]), n2)
     state = TwoSourceState(a[perm[0]], a[perm[1]])

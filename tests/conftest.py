@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: seeded random instances and profiles,
 every profile one at a time, one-user moves, the definitional deviation
-oracle, the exact-rational traffic of a flow, the equilibrium-traffic floor,
-an instance as JSON, and the three-way agreement check on one two-source
-state."""
+oracle, the exact-rational traffic of a flow, the paper's two-source
+thresholds, the equilibrium-traffic floor, an instance as JSON, and the
+three-way agreement check on one two-source state."""
 
 from __future__ import annotations
 
@@ -86,6 +86,22 @@ def exact_traffic(inst: ln.Instance, flow) -> Fraction:
         t = phi * (row[j] + (1 - q) * relayed)
         total += t * mu / (t + mu)
     return total
+
+
+def paper_thresholds(inst: ln.Instance, u1: int, u2: int) -> tuple[Fraction, Fraction] | None:
+    """The paper's thresholds (t1(u2), t2(u1)) at the two-source state (u1, u2), exactly.
+
+    Source i's threshold, given the other source's direct count u_o, is
+    (q*mu/phi + u_o*(1 + qb^2) + (n_i + 1)*qb - n_o*qb^2) / (2*qb) with qb = 1 - q,
+    in either source order; None at q = 1, where it divides by zero.  phi, mu
+    and q are parsed as `exact_traffic` parses them.
+    """
+    phi, mu, q = (Fraction(str(x)) for x in (inst.phi, inst.mu, inst.q))
+    if q == 1:
+        return None
+    qb, n, u = 1 - q, inst.user_counts, (u1, u2)
+    return tuple((q * mu / phi + u[1 - i] * (1 + qb * qb) + (n[i] + 1) * qb - n[1 - i] * qb * qb)
+                 / (2 * qb) for i in (0, 1))
 
 
 def ne_traffic_floor(inst: ln.Instance) -> float | None:

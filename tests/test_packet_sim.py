@@ -10,7 +10,7 @@ from scipy import stats
 import lossnet as ln
 from lossnet.errors import InvalidInputError
 from lossnet import packet_sim
-from lossnet.packet_sim import _cycles, assess_outcome
+from lossnet.packet_sim import POISSON_MAX, _cycles, assess_outcome
 
 
 def small_cfg(horizon=20_000.0, seed=0, q=0.3):
@@ -163,6 +163,24 @@ def test_config_validation():
     bad_prof = ln.RoutingProfile(((1,),))
     with pytest.raises(InvalidInputError):
         ln.SimConfig(inst, bad_prof, 10.0, 1)
+
+
+@pytest.mark.parametrize("q, flow, scale", [
+    (0.0, ((1, 0), (0, 1)), 1.0),  # each link's rate is 1
+    # Link 1's rate is 1; the 2 relayed users lose every packet on the sidelink.
+    (1.0, ((0, 2), (0, 1)), 0.5),
+])
+def test_horizon_is_checked_against_numpys_poisson_bound(q, flow, scale):
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_MAX, math.inf))
+    inst = ln.Instance((sum(flow[0]), sum(flow[1])), 1.0, 1.0, q)
+    prof = ln.RoutingProfile(flow)
+    horizon = POISSON_MAX * scale
+    assert ln.SimConfig(inst, prof, horizon, 0).horizon == horizon  # not simulated
+    with pytest.raises(InvalidInputError, match="horizon"):
+        ln.SimConfig(inst, prof, np.nextafter(horizon, math.inf), 0)
 
 
 def test_generated_counts_cover_the_whole_horizon():

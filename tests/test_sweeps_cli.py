@@ -493,6 +493,25 @@ def test_horizon_overflowing_the_packet_count_is_invalid_input(inst_file, prof_f
         ln.SimConfig(inst, ln.RoutingProfile.all_direct(inst), 1e308, 0)
 
 
+@pytest.mark.parametrize("flow, horizon", [
+    # numpy's Poisson draw refuses this flow's sidelink-loss mean of 5e19.
+    ([[2, 1], [1, 1]], "1e20"),
+    # Link 0's mean of 2e19 is past the bound too; its cycles were drawn without end.
+    ([[2, 1], [0, 2]], "1e19"),
+])
+def test_cli_simulate_horizon_past_numpys_poisson_bound_exits_2(
+    inst_file, tmp_path, capsys, monkeypatch, flow, horizon
+):
+    def no_simulation(cfg):
+        raise AssertionError("simulate ran past the horizon guard")
+
+    monkeypatch.setattr(cli.packet_sim, "simulate", no_simulation)
+    prof = write_json(tmp_path / "relayed.json", {"flow": flow})
+    rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof, "--horizon", horizon])
+    assert rc == cli.EXIT_INVALID
+    assert "horizon" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigmas", ["-1", "nan"])
 def test_cli_simulate_rejects_bad_sigmas(inst_file, prof_file, capsys, sigmas):
     rc = cli.main(["simulate", "--instance", inst_file, "--profile", prof_file,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import lossnet as ln
 from lossnet import cli
-from lossnet.errors import InvalidInputError, UndefinedThresholdError
+from lossnet.errors import InvalidInputError
 from lossnet.model import TOLERANCE
 from lossnet.two_source import MAX_COUNT, ROW_BLOCK, TwoSourceState, _is_ne, _threshold
 
-from conftest import cross_check_state, instance_json
+from conftest import cross_check_state, instance_json, paper_thresholds
 
 
 def rand_two_source(rng, n_max=15):
@@ -30,35 +31,53 @@ def rand_two_source(rng, n_max=15):
     return ln.Instance((n1, n2), 1.0, mu, q)
 
 
+def thresholds(inst, u1, u2):
+    """`classify`'s (t1_at_u2, t2_at_u1) at the state (u1, u2), the same in both
+    source orders and equal to `paper_thresholds` up to rounding.
+
+    The reference reads q as its decimal, which can lie half an ulp from the
+    float q; qb = 1 - q carries that error, relative 2**-53 / qb, into both.
+    """
+    verdict = ln.classify(inst, TwoSourceState(u1, u2))
+    mirror = ln.Instance(inst.user_counts[::-1], inst.phi, inst.mu, inst.q)
+    back = ln.classify(mirror, TwoSourceState(u2, u1))
+    got = verdict.t1_at_u2, verdict.t2_at_u1
+    assert (back.t2_at_u1, back.t1_at_u2) == got, (inst, u1, u2)
+    rel = 1e-12 + 2**-51 / inst.qbar
+    assert got == pytest.approx(tuple(map(float, paper_thresholds(inst, u1, u2))), rel=rel), (
+        inst, u1, u2)
+    return got
+
+
 def test_threshold_values():
     inst = ln.Instance((3, 2), 1.0, 1.0, 0.5)
-    assert ln.t1(inst, 2) == pytest.approx(4.5, abs=1e-12)
-    assert ln.t2(inst, 3) == pytest.approx(5.0, abs=1e-12)
+    assert paper_thresholds(inst, 3, 2) == (Fraction(9, 2), 5)
+    assert thresholds(inst, 3, 2) == pytest.approx((4.5, 5.0), abs=1e-12)
     big = ln.Instance((100, 1), 1.0, 1.0, 0.1)
-    assert ln.t1(big, 1) == pytest.approx(92.0 / 1.8, rel=1e-12)
+    assert paper_thresholds(big, 0, 1)[0] == Fraction(92) / Fraction("1.8")
+    assert thresholds(big, 0, 1)[0] == pytest.approx(92.0 / 1.8, rel=1e-12)
 
 
 def test_threshold_q0_symmetric_counts():
     inst = ln.Instance((6, 6), 1.0, 1.0, 0.0)
     for u2 in range(7):
-        assert ln.t1(inst, u2) == pytest.approx(u2 + 0.5, abs=1e-12)
+        assert paper_thresholds(inst, 0, u2)[0] == u2 + Fraction(1, 2)
+        assert thresholds(inst, 0, u2)[0] == pytest.approx(u2 + 0.5, abs=1e-12)
     # with equal counts the two thresholds are the same function
     for u in range(7):
-        assert ln.t1(inst, u) == pytest.approx(ln.t2(inst, u), abs=1e-12)
+        t1, t2 = thresholds(inst, u, u)
+        assert t1 == pytest.approx(t2, abs=1e-12)
 
 
 def test_threshold_undefined_at_q1():
-    inst = ln.Instance((3, 2), 1.0, 1.0, 1.0)
-    with pytest.raises(UndefinedThresholdError):
-        ln.t1(inst, 0)
-    with pytest.raises(UndefinedThresholdError):
-        ln.t2(inst, 0)
-
-
-def test_threshold_requires_sorted_counts():
-    inst = ln.Instance((2, 5), 1.0, 1.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        ln.t1(inst, 0)
+    # The thresholds divide by 2 * (1 - q); classify reports them as None.
+    for counts in ((3, 2), (2, 3)):
+        inst = ln.Instance(counts, 1.0, 1.0, 1.0)
+        assert paper_thresholds(inst, 0, 0) is None
+        for u1 in range(counts[0] + 1):
+            for u2 in range(counts[1] + 1):
+                verdict = ln.classify(inst, TwoSourceState(u1, u2))
+                assert verdict.t1_at_u2 is None and verdict.t2_at_u1 is None
 
 
 def test_all_direct_region_condition_matches_threshold_at_boundary():
@@ -71,9 +90,12 @@ def test_all_direct_region_condition_matches_threshold_at_boundary():
         q = rng.uniform(0.0, 0.999)
         mu = rng.uniform(0.1, 20.0)
         inst = ln.Instance((n1, n2), 1.0, mu, q)
-        lhs = n1 <= ln.t1(inst, n2) + 1e-12
+        lhs = n1 <= thresholds(inst, n1, n2)[0] + 1e-12
         rhs = n1 * inst.qbar <= q * mu / inst.phi + n2 + inst.qbar + 1e-12
         assert lhs == rhs
+        exact = paper_thresholds(inst, n1, n2)[0]
+        qb, qm = 1 - Fraction(str(q)), Fraction(str(q)) * Fraction(str(mu))
+        assert (n1 <= exact) == (n1 * qb <= qm + n2 + qb)
 
 
 def test_classify_frozen_examples():
@@ -331,7 +353,7 @@ def test_scan_in_few_row_blocks_gives_the_same_intervals(monkeypatch):
     for inst, w in zip(corpus, want):
         got = ln.scan_nash(inst)
         assert len(got) == len(w) and got == w, inst
-        assert all(np.array_equal(a, b) for a, b in zip(got.ends(), w.ends())), inst
+        assert repr(got.worst_traffic()) == repr(w.worst_traffic()), inst
 
 
 @pytest.mark.parametrize("n1, qb, count", [(10**12, 3e-12, 335), (10**10, 3e-10, 5)])
@@ -341,9 +363,11 @@ def test_scan_keeps_every_cell_the_predicate_admits_near_q1(n1, qb, count):
     # cells of it: 167 each way at n1 = 1e12, so a window of a few cells
     # around t1(n2) would miss most of them.
     inst = ln.Instance((n1, 1), 1.0, 1.0, 1.0 - qb)
-    u1 = math.floor(ln.t1(inst, 1)) + np.arange(-1000, 1001)
+    u1 = math.floor(thresholds(inst, n1, 1)[0]) + np.arange(-1000, 1001)
     admitted = u1[_is_ne(inst, u1, 1)].tolist()
     assert [(s.u1, s.u2) for s in ln.scan_nash(inst)] == [(a, 1) for a in admitted]
+    mirror = ln.Instance((1, n1), 1.0, 1.0, 1.0 - qb)
+    assert [(s.u2, s.u1) for s in ln.scan_nash(mirror)] == [(a, 1) for a in admitted]
     assert len(admitted) == count
 
 
@@ -505,11 +529,11 @@ def test_case3_upper_companion_condition_is_implied():
         q = rng.uniform(0.001, 0.999)
         mu = rng.uniform(0.1, 10.0)
         inst = ln.Instance((n1, n2), 1.0, mu, q)
-        lo = ln.t1(inst, n2) - 1.0
-        for u1 in range(max(1, math.ceil(lo - 1e-9)), n1):
-            if u1 > ln.t1(inst, n2) + 1e-9:
+        top = thresholds(inst, n1, n2)[0]
+        for u1 in range(max(1, math.ceil(top - 1.0 - 1e-9)), n1):
+            if u1 > top + 1e-9:
                 break
-            assert n2 <= ln.t2(inst, u1) + 1e-9, (inst, u1)
+            assert n2 <= thresholds(inst, u1, n2)[1] + 1e-9, (inst, u1)
 
 
 def test_corollaries_q1_instance():
